@@ -6,6 +6,11 @@ ensemble rides on top of a PDE integration and interpolates G (and u, for
 consistency checks) spectrally at off-grid positions.  Positions are kept
 unwrapped: the trigonometric interpolant is periodic anyway, and unwrapped
 positions are what make the monotonicity-in-xi diagnostic meaningful.
+
+The PDE behind the ensemble is `evolution.march`, pulled half-step by
+half-step by `CoSteppingProvider`.  `co_evolve` checks min V against
+stop_slope after every ensemble step and ends the run with the same
+`slope_verdict` as `simulate`.
 """
 from __future__ import annotations
 
@@ -13,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonZeroMean, ProviderGap
+from .errors import NonZeroMean, NumericalFailure, ProviderGap
 from .evolution import (BlowupEstimate, SimulationConfig, SimulationRecord,
-                        SpectralWorkspace, Termination, _Recorder)
+                        SpectralWorkspace, Termination, march, slope_verdict)
 from .fourier import (PeriodicField, PeriodicGrid, antiderivative_zero_mean,
-                      conserved_quantities, mass_tolerance,
+                      field_diagnostics, mass_tolerance, parabolic_minmax,
                       spectral_derivative)
 
 
@@ -49,30 +54,30 @@ class CoSteppingProvider:
 
     def __init__(self, u0: PeriodicField, gamma: float, dt_sub: float,
                  dealias: bool = True):
-        self.ws = SpectralWorkspace(u0.grid, dealias=dealias)
-        self.gamma = gamma
         self.dt_sub = dt_sub
         self.grid = u0.grid
-        self._coeffs = u0.coefficients.copy()
-        self._coeffs[0] = 0.0
-        self._coeffs[-1] = 0.0
-        self._index = 0
+        coeffs = u0.coefficients.copy()
+        coeffs[0] = 0.0
+        coeffs[-1] = 0.0
+        self._steps = march(SpectralWorkspace(u0.grid, dealias=dealias),
+                            coeffs, dt_sub, gamma)
+        self._index, _, coeffs = next(self._steps)
         self._cache: dict[int, tuple[PeriodicField, PeriodicField]] = {}
-        self._store(0)
+        self._store(coeffs)
 
-    def _store(self, idx: int):
-        u = PeriodicField(self.grid, coefficients=self._coeffs.copy())
-        self._cache[idx] = (u, antiderivative_zero_mean(u))
+    def _store(self, coeffs: np.ndarray):
+        u = PeriodicField(self.grid, coefficients=coeffs)
+        self._cache[self._index] = (u, antiderivative_zero_mean(u))
         # two lattice points of history cover all stage times of one step
-        for stale in [k for k in self._cache if k < idx - 2]:
+        for stale in [k for k in self._cache if k < self._index - 2]:
             del self._cache[stale]
 
     def advance_to(self, idx: int):
+        """Pull half-steps from the march up to lattice index idx; raises
+        NumericalFailure if the PDE coefficients stop being finite."""
         while self._index < idx:
-            self._coeffs = self.ws.rk4_step(self._coeffs, self.dt_sub,
-                                            self.gamma)
-            self._index += 1
-            self._store(self._index)
+            self._index, _, coeffs = next(self._steps)
+            self._store(coeffs)
 
     def fields_at(self, t: float) -> tuple[PeriodicField, PeriodicField]:
         idx = t / self.dt_sub
@@ -148,75 +153,61 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
     """Run the PDE and an ensemble side by side.
 
     The PDE marches at config.dt/2 (so ensemble RK4 stages are on the
-    lattice); the ensemble marches at config.dt.  Diagnostics are recorded
-    every sample_stride ensemble steps.  The returned SimulationRecord is
-    recorded on the same sample times.
+    lattice); the ensemble marches at config.dt, step i labelled t = i*dt.
+    Diagnostics are recorded every sample_stride ensemble steps, at the last
+    step, and at the step where min V first reaches stop_slope.  Each sample
+    is judged by `slope_verdict` on the steeper of min V and the grid's
+    min u_x.  The returned SimulationRecord is recorded on the same sample
+    times.
     """
     grid = PeriodicGrid(config.n)
     u0 = config.initial.sample(grid)
     provider = CoSteppingProvider(u0, config.gamma, 0.5 * config.dt,
                                   dealias=config.dealias)
     ens = seed(u0, n_xi)
-    rec = _Recorder(grid, config.gamma, config.record_refine)
+    rows, samples = [], []
 
-    rows = []
-
-    def sample(ens):
-        u_field, g_field = provider.fields_at(ens.t)
+    def sample(ens, t):
+        u_field, g_field = provider.fields_at(t)
         u_at_x = u_field.evaluate(ens.x)
         g_at_x = g_field.evaluate(ens.x)
-        jmin = int(np.argmin(ens.v))
-        vmin = _parabolic_at(ens.v, jmin)
-        rows.append((ens.t, ens.x.copy(), ens.u.copy(), ens.v.copy(),
+        vmin = parabolic_minmax(ens.v)[0]
+        rows.append((t, ens.x, ens.u, ens.v,
                      float(np.max(np.abs(ens.u - u_at_x))), vmin,
                      float(np.max(np.abs(g_at_x))),
                      diffeomorphism_check(ens)))
-        rec.record(ens.t, u_field.coefficients)
+        d = field_diagnostics(u_field.coefficients, grid, config.gamma)
+        samples.append(d)
+        return min(vmin, d.min_slope), d.sup_abs
 
-    sample(ens)
+    sample(ens, 0.0)
     n_steps = int(round(config.t_max / config.dt))
     terminated = Termination.Horizon
     for i in range(1, n_steps + 1):
-        ens = advance(ens, provider, config.dt, config.gamma)
+        try:
+            ens = advance(ens, provider, config.dt, config.gamma)
+        except NumericalFailure:
+            terminated = Termination.NumericalFailure
+            break
         if not (np.all(np.isfinite(ens.x)) and np.all(np.isfinite(ens.u))
                 and np.all(np.isfinite(ens.v))):
             terminated = Termination.NumericalFailure
             break
-        if i % sample_stride == 0 or i == n_steps:
-            sample(ens)
-            if rec.rows[-1][1] <= config.stop_slope:
-                terminated = Termination.SlopeBlowup
+        if (i % sample_stride == 0 or i == n_steps
+                or np.min(ens.v) <= config.stop_slope):
+            t = i * config.dt
+            verdict = slope_verdict(config, t, *sample(ens, t))
+            if verdict is not None:
+                terminated = verdict
                 break
 
-    times, dmin, dmax, sup, mass, qd, ed = rec.arrays()
-    record = SimulationRecord(
-        config=config, times=times, min_ux=dmin, max_ux=dmax,
-        sup_abs_u=sup, mass_drift=mass, q_drift=qd, e_drift=ed,
-        terminated=terminated,
-        initial_conserved=conserved_quantities(u0, config.gamma),
-    )
-    trace = EnsembleTrace(
-        times=np.array([r[0] for r in rows]),
-        x=np.array([r[1] for r in rows]),
-        u=np.array([r[2] for r in rows]),
-        v=np.array([r[3] for r in rows]),
-        consistency=np.array([r[4] for r in rows]),
-        min_v=np.array([r[5] for r in rows]),
-        g_sup=np.array([r[6] for r in rows]),
-        diffeo=np.array([r[7] for r in rows], dtype=bool),
-    )
-    return record, trace
-
-
-def _parabolic_at(vals: np.ndarray, j: int) -> float:
-    r = len(vals)
-    ym, y0, yp = vals[(j - 1) % r], vals[j], vals[(j + 1) % r]
-    curv = ym - 2.0 * y0 + yp
-    if curv != 0.0:
-        delta = 0.5 * (ym - yp) / curv
-        if abs(delta) <= 1.0:
-            return float(y0 - 0.25 * (ym - yp) * delta)
-    return float(y0)
+    times, x, u, v, consistency, min_v, g_sup, diffeo = map(np.array,
+                                                            zip(*rows))
+    record = SimulationRecord.from_samples(config, times, samples,
+                                           terminated)
+    return record, EnsembleTrace(times=times, x=x, u=u, v=v,
+                                 consistency=consistency, min_v=min_v,
+                                 g_sup=g_sup, diffeo=diffeo)
 
 
 def write_ensemble_csv(trace: EnsembleTrace, path):

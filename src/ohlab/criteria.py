@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, NonZeroMean, NotApplicable, TailTooLarge
-from .fourier import (PeriodicField, PeriodicGrid, antiderivative_zero_mean,
-                      integral, parabolic_minmax, spectral_derivative)
+from .fourier import PeriodicField, PeriodicGrid, field_diagnostics
 from .initial import InitialData
 
 __all__ = [
@@ -194,32 +193,20 @@ def line_criterion(data: LineData, gamma: float) -> CriterionReport:
         raise TailTooLarge(f"boundary tail {tail:.2e} vs peak {peak:.2e}")
 
     grid = PeriodicGrid(n, length=data.span)
-    f = PeriodicField(grid, values=vals)
-    mass = f.mean * data.span
+    coeffs = PeriodicField(grid, values=vals).coefficients.copy()
+    mass = float(np.real(coeffs[0])) / n * data.span
     if abs(mass) > 1e-10 * (data.span * peak + 1.0):
         raise NonZeroMean(f"line data carries mass {mass:.2e}")
-    f = PeriodicField(grid, coefficients=_zero_mode0(f.coefficients))
+    coeffs[0] = 0.0
+    d = field_diagnostics(coeffs, grid, gamma)
 
-    q = integral(f.values ** 2, data.span)
-    g = antiderivative_zero_mean(f)
-    e = gamma * integral(g.values ** 2, data.span) \
-        + integral(f.resample(2 * n) ** 3, data.span) / 3.0
-    sup = max(abs(v) for v in parabolic_minmax(f.resample(4 * n)))
-    min_slope = parabolic_minmax(spectral_derivative(f).resample(4 * n))[0]
-
-    c_bound = math.sqrt(gamma / 2.0) * math.sqrt(e + gamma * q
-                                                 + q * sup / 3.0)
-    margin, eps, t1 = _epsilon_search(min_slope, gamma,
-                                      (sup, c_bound, gamma * q / 6.0))
+    c_bound = math.sqrt(gamma / 2.0) * math.sqrt(d.e + gamma * d.q
+                                                 + d.q * d.sup_abs / 3.0)
+    margin, eps, t1 = _epsilon_search(d.min_slope, gamma,
+                                      (d.sup_abs, c_bound, gamma * d.q / 6.0))
     sat = margin > 0.0
     return CriterionReport("line", sat, margin,
                            time_bound=(t1 if sat else None), epsilon=eps)
-
-
-def _zero_mode0(coeffs: np.ndarray) -> np.ndarray:
-    out = coeffs.copy()
-    out[0] = 0.0
-    return out
 
 
 def all_reports(d: InitialData, gamma: float) -> dict[str, CriterionReport]:

@@ -5,18 +5,24 @@ The solver state is the rfft coefficient vector of u.  The quadratic term is
 evaluated on a 3/2 zero-padded grid, which makes the product alias-free for
 every retained mode; the mode-0 and Nyquist coefficients are pinned to zero
 throughout (zero mass, odd-derivative convention).
+
+`march` is the one stepping loop: `simulate` consumes it directly and
+`characteristics.co_evolve` through its field provider.  Both sample with
+`fourier.field_diagnostics`, end on `slope_verdict` and assemble their
+record with `SimulationRecord.from_samples`.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientWindow
+from .errors import InsufficientWindow, NumericalFailure
 from .fourier import (ConservedSet, PeriodicField, PeriodicGrid,
-                      conserved_quantities, parabolic_minmax)
+                      field_diagnostics)
 from .initial import InitialData
 
 
@@ -36,7 +42,6 @@ class SimulationConfig:
     dealias: bool = True
     stop_slope: float = -200.0
     stride: int = 1
-    record_refine: int = 4     # upsampling factor for recorded extrema
     snapshot_times: tuple = ()
     nonlinear: bool = True     # off = pure dispersion, for phase-error checks
 
@@ -71,6 +76,23 @@ class SimulationRecord:
     initial_conserved: ConservedSet
     snapshots: dict = field(default_factory=dict)
     final_field: PeriodicField | None = None
+
+    @classmethod
+    def from_samples(cls, config: SimulationConfig, times: list,
+                     samples: list, terminated: Termination,
+                     **extra) -> "SimulationRecord":
+        """Columns from per-sample FieldDiagnostics, the first taken at
+        t = 0; the Q and E drifts are relative to it."""
+        dmin, dmax, sup, mass, q, e = np.array(samples, dtype=float).T
+        d0 = samples[0]
+        return cls(
+            config=config, times=np.asarray(times, dtype=float), min_ux=dmin,
+            max_ux=dmax, sup_abs_u=sup, mass_drift=mass,
+            q_drift=(q - q[0]) / max(abs(q[0]), 1e-16),
+            e_drift=(e - e[0]) / max(abs(e[0]), 1e-16),
+            terminated=terminated,
+            initial_conserved=ConservedSet(mass=d0.mass, q=d0.q, e=d0.e,
+                                           gamma=config.gamma), **extra)
 
 
 @dataclass(frozen=True)
@@ -138,123 +160,70 @@ class SpectralWorkspace:
         return out
 
 
-def rhs(u: PeriodicField, gamma: float, dealias: bool = True,
-        nonlinear: bool = True) -> PeriodicField:
-    """-u u_x + gamma * dx^-1 u as a field (thin wrapper over the workspace)."""
-    ws = SpectralWorkspace(u.grid, dealias=dealias)
-    return PeriodicField(u.grid, coefficients=ws.rhs(u.coefficients, gamma,
-                                                     nonlinear))
+def march(ws: SpectralWorkspace, coeffs: np.ndarray, dt: float,
+          gamma: float, n_steps: int | None = None, nonlinear: bool = True):
+    """Yield (i, t, coeffs) for the state after RK4 step i = 0, 1, ...,
+    n_steps (without end if n_steps is None), labelled t = i*dt.
+
+    Yielded arrays are never modified afterwards.  Raises NumericalFailure
+    at the first step whose coefficients are not all finite.
+    """
+    yield 0, 0.0, coeffs
+    for i in itertools.count(1) if n_steps is None else range(1, n_steps + 1):
+        coeffs = ws.rk4_step(coeffs, dt, gamma, nonlinear)
+        if not np.all(np.isfinite(coeffs)):
+            raise NumericalFailure(f"non-finite coefficients at step {i}")
+        yield i, i * dt, coeffs
 
 
-def step(u: PeriodicField, dt: float, gamma: float, dealias: bool = True,
-         nonlinear: bool = True) -> PeriodicField:
-    """One classical RK4 step, output projected to zero mean."""
-    ws = SpectralWorkspace(u.grid, dealias=dealias)
-    out = ws.rk4_step(u.coefficients, dt, gamma, nonlinear)
-    if not np.all(np.isfinite(out)):
-        from .errors import NumericalFailure
-
-        raise NumericalFailure("non-finite samples after one step")
-    return PeriodicField(u.grid, coefficients=out)
-
-
-class _Recorder:
-    """Accumulates per-step diagnostics from the coefficient vector."""
-
-    def __init__(self, grid: PeriodicGrid, gamma: float, refine: int):
-        self.grid = grid
-        self.gamma = gamma
-        self.r = refine * grid.n
-        self.rows = []
-        self.q0 = None
-        self.e0 = None
-
-    def _quantities(self, coeffs: np.ndarray):
-        n, r, length = self.grid.n, self.r, self.grid.length
-        pad = np.zeros(r // 2 + 1, dtype=complex)
-        pad[: n // 2 + 1] = coeffs
-        u = np.fft.irfft(pad * (r / n))
-        pad[: n // 2 + 1] = coeffs * self.grid.deriv_multiplier
-        ux = np.fft.irfft(pad * (r / n))
-        umin, umax = parabolic_minmax(u)
-        dmin, dmax = parabolic_minmax(ux)
-        mass = float(np.real(coeffs[0])) / n * length
-        # Parseval for rfft samples of a band-limited field: exact quadrature
-        mags2 = np.abs(coeffs) ** 2
-        q = (mags2[0] + 2.0 * mags2[1:-1].sum() + mags2[-1]) / n ** 2 * length
-        g2 = np.abs(coeffs * self.grid.antideriv_multiplier) ** 2
-        e = self.gamma * (2.0 * g2[1:-1].sum()) / n ** 2 * length \
-            + float(np.mean(u ** 3)) * length / 3.0
-        return dmin, dmax, max(abs(umin), abs(umax)), mass, q, e
-
-    def record(self, t: float, coeffs: np.ndarray) -> float:
-        dmin, dmax, sup, mass, q, e = self._quantities(coeffs)
-        if self.q0 is None:
-            self.q0, self.e0 = q, e
-        qd = (q - self.q0) / max(abs(self.q0), 1e-16)
-        ed = (e - self.e0) / max(abs(self.e0), 1e-16)
-        self.rows.append((t, dmin, dmax, sup, mass, qd, ed))
-        return dmin
-
-    def arrays(self):
-        cols = list(zip(*self.rows)) if self.rows else [[]] * 7
-        return [np.asarray(c, dtype=float) for c in cols]
+def slope_verdict(config: SimulationConfig, t: float, min_slope: float,
+                  sup_abs: float) -> Termination | None:
+    """How a run ends once its slope minimum reaches stop_slope: breaking if
+    sup|u| still sits within its a-priori growth bound
+    sup|u0| + gamma*t*||u0||, numerical failure if not; None before then."""
+    if min_slope > config.stop_slope:
+        return None
+    bound = config.initial.sup_abs + config.gamma * t * config.initial.l2 \
+        + 1e-6
+    return (Termination.SlopeBlowup if sup_abs <= bound
+            else Termination.NumericalFailure)
 
 
 def simulate(config: SimulationConfig) -> SimulationRecord:
     """Integrate until the horizon, slope blow-up, or numerical failure.
 
-    Slope blow-up is only declared when sup|u| sits within its a-priori
-    growth bound; a deep slope with a violated bound is numerical failure,
-    not breaking.
+    Diagnostics are sampled every `stride` steps and at the last step; each
+    sample after t = 0 is judged by `slope_verdict`.  Snapshots are checked
+    after every step and hold the first state within dt/2 of their time.
     """
     grid = PeriodicGrid(config.n)
     u0 = config.initial.sample(grid)
-    ws = SpectralWorkspace(grid, dealias=config.dealias)
-    rec = _Recorder(grid, config.gamma, config.record_refine)
     coeffs = u0.coefficients.copy()
     coeffs[-1] = 0.0
-
-    sup0 = config.initial.sup_abs
-    l2 = config.initial.l2
-    bound_tol = 1e-6
-
-    snapshots = {}
-    snap_left = sorted(config.snapshot_times)
-
-    def take_snapshots(t, coeffs):
-        while snap_left and t >= snap_left[0] - 0.5 * config.dt:
-            snapshots[snap_left.pop(0)] = PeriodicField(
-                grid, coefficients=coeffs.copy())
-
-    rec.record(0.0, coeffs)
-    take_snapshots(0.0, coeffs)
-    terminated = Termination.Horizon
     n_steps = int(round(config.t_max / config.dt))
-    for i in range(1, n_steps + 1):
-        coeffs = ws.rk4_step(coeffs, config.dt, config.gamma, config.nonlinear)
-        t = i * config.dt
-        if not np.all(np.isfinite(coeffs)):
-            terminated = Termination.NumericalFailure
-            break
-        if i % config.stride == 0 or i == n_steps:
-            dmin = rec.record(t, coeffs)
-            take_snapshots(t, coeffs)
-            if dmin <= config.stop_slope:
-                sup = rec.rows[-1][3]
-                bound = sup0 + config.gamma * t * l2 + bound_tol
-                terminated = (Termination.SlopeBlowup if sup <= bound
-                              else Termination.NumericalFailure)
-                break
-
-    times, dmin, dmax, sup, mass, qd, ed = rec.arrays()
-    return SimulationRecord(
-        config=config, times=times, min_ux=dmin, max_ux=dmax, sup_abs_u=sup,
-        mass_drift=mass, q_drift=qd, e_drift=ed, terminated=terminated,
-        initial_conserved=conserved_quantities(u0, config.gamma),
-        snapshots=snapshots,
-        final_field=PeriodicField(grid, coefficients=coeffs),
-    )
+    steps = march(SpectralWorkspace(grid, dealias=config.dealias), coeffs,
+                  config.dt, config.gamma, n_steps, config.nonlinear)
+    times, samples, snapshots = [], [], {}
+    snap_left = sorted(config.snapshot_times)
+    terminated = Termination.Horizon
+    try:
+        for i, t, coeffs in steps:
+            while snap_left and t >= snap_left[0] - 0.5 * config.dt:
+                snapshots[snap_left.pop(0)] = PeriodicField(
+                    grid, coefficients=coeffs)
+            if i % config.stride == 0 or i == n_steps:
+                d = field_diagnostics(coeffs, grid, config.gamma)
+                times.append(t)
+                samples.append(d)
+                verdict = slope_verdict(config, t, d.min_slope, d.sup_abs)
+                if i > 0 and verdict is not None:
+                    terminated = verdict
+                    break
+    except NumericalFailure:
+        terminated = Termination.NumericalFailure
+    return SimulationRecord.from_samples(
+        config, times, samples, terminated, snapshots=snapshots,
+        final_field=PeriodicField(grid, coefficients=coeffs))
 
 
 def estimate_blowup(record: SimulationRecord, fit_start: float = 5.0,

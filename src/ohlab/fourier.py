@@ -2,13 +2,17 @@
 
 Everything downstream (time stepping, characteristics, traveling waves)
 manipulates fields through this module: differentiation, the mean-zero
-anti-derivative, quadrature, off-grid evaluation of the trigonometric
-interpolant, and the conserved quantities Q and E.
+anti-derivative, quadrature and off-grid evaluation of the trigonometric
+interpolant.  `field_diagnostics` is the one place that turns a coefficient
+vector into sup|u|, the slope extrema, mass and the conserved quantities Q
+and E; the solver's samples, `conserved_quantities`, the line criterion and
+the quadrature scalars of initial data all read it.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,17 +193,51 @@ def integral(values: np.ndarray, length: float) -> float:
     return float(np.mean(values)) * length
 
 
+class FieldDiagnostics(NamedTuple):
+    """Scalars of one field sample; extrema are polished interpolant values."""
+
+    min_slope: float
+    max_slope: float
+    sup_abs: float
+    mass: float
+    q: float
+    e: float
+
+
+_REFINE = 4  # upsampling factor for the sampled extrema
+
+
+def field_diagnostics(coeffs: np.ndarray, grid: PeriodicGrid,
+                      gamma: float) -> FieldDiagnostics:
+    """sup|u|, the slope extrema, mass, Q and E from rfft coefficients.
+
+    Extrema come from the interpolant sampled on a 4n grid, each polished by
+    `parabolic_minmax`.  Q and the gamma-part of E are Parseval sums, exact
+    for band-limited fields; the cubic part of E is quadrature on the 4n
+    samples, alias-free because u^3 reaches only 3n/2.
+    """
+    n, length, r = grid.n, grid.length, _REFINE * grid.n
+    pad = np.zeros(r // 2 + 1, dtype=complex)
+    pad[: n // 2 + 1] = coeffs
+    u = np.fft.irfft(pad * (r / n))
+    pad[: n // 2 + 1] = coeffs * grid.deriv_multiplier
+    ux = np.fft.irfft(pad * (r / n))
+    umin, umax = parabolic_minmax(u)
+    dmin, dmax = parabolic_minmax(ux)
+    mass = float(np.real(coeffs[0])) / n * length
+    mags2 = np.abs(coeffs) ** 2
+    q = (mags2[0] + 2.0 * mags2[1:-1].sum() + mags2[-1]) / n ** 2 * length
+    g2 = np.abs(coeffs * grid.antideriv_multiplier) ** 2
+    e = gamma * (2.0 * g2[1:-1].sum()) / n ** 2 * length \
+        + float(np.mean(u ** 3)) * length / 3.0
+    return FieldDiagnostics(dmin, dmax, max(abs(umin), abs(umax)), mass,
+                            float(q), float(e))
+
+
 def conserved_quantities(f: PeriodicField, gamma: float) -> ConservedSet:
     _require_zero_mean(f)
-    length = f.grid.length
-    mass = integral(f.values, length)
-    # u^2 and (dx^-1 u)^2 are alias-free on the native grid (bandwidth < n);
-    # u^3 reaches 3n/2 and needs one doubling.
-    q = integral(f.values ** 2, length)
-    g = antiderivative_zero_mean(f)
-    cubic = integral(f.resample(2 * f.grid.n) ** 3, length)
-    e = gamma * integral(g.values ** 2, length) + cubic / 3.0
-    return ConservedSet(mass=mass, q=q, e=e, gamma=gamma)
+    d = field_diagnostics(f.coefficients, f.grid, gamma)
+    return ConservedSet(mass=d.mass, q=d.q, e=d.e, gamma=gamma)
 
 
 def parabolic_minmax(values: np.ndarray) -> tuple[float, float]:

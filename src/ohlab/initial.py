@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NegativeParameter
-from .fourier import PeriodicField, PeriodicGrid, integral, spectral_derivative
+from .fourier import PeriodicField, PeriodicGrid, field_diagnostics, integral
 
 _QUAD_N = 4096  # sampling size used when scalars are computed by quadrature
 
@@ -44,24 +44,15 @@ class InitialData:
 
 def _scalars_by_quadrature(fn, n=_QUAD_N) -> dict:
     grid = PeriodicGrid(n)
-    f = PeriodicField.from_function(grid, fn)
-    c = f.coefficients.copy()
+    c = PeriodicField.from_function(grid, fn).coefficients.copy()
     c[0] = 0.0
-    f = PeriodicField(grid, coefficients=c)
-    du = spectral_derivative(f)
-    # 4x upsampling + parabolic refinement keeps extrema honest for data with
-    # content near the sampling bandwidth
-    from .fourier import parabolic_minmax
-
-    uvals = f.resample(4 * n)
-    dvals = du.resample(4 * n)
-    umin, umax = parabolic_minmax(uvals)
-    dmin, dmax = parabolic_minmax(dvals)
+    d = field_diagnostics(c, grid, 0.0)
+    dvals = PeriodicField(grid, coefficients=c).derivative_values(4 * n)
     return dict(
-        sup_abs=max(abs(umin), abs(umax)),
-        l2=float(np.sqrt(integral(f.values ** 2, grid.length))),
-        min_slope=dmin,
-        max_slope=dmax,
+        sup_abs=d.sup_abs,
+        l2=float(np.sqrt(d.q)),
+        min_slope=d.min_slope,
+        max_slope=d.max_slope,
         # (u0')^3 has bandwidth 3n/2 < 4n: alias-free on the upsampled grid
         cube=integral(dvals ** 3, grid.length),
     )

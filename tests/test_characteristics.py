@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ohlab.characteristics import (CharacteristicEnsemble, CoSteppingProvider,
-                                   advance, diffeomorphism_check,
+                                   advance, co_evolve, diffeomorphism_check,
                                    rate_products, seed, write_ensemble_csv,
                                    write_rate_products_csv)
 from ohlab.errors import NonZeroMean, ProviderGap
@@ -152,6 +152,11 @@ class TestCoEvolvedRun:
         assert np.array_equal(record.times, trace.times)
         assert record.terminated is Termination.Horizon
 
+    def test_sample_times_are_step_multiples(self, coevolved):
+        record, trace = coevolved
+        steps = np.arange(len(trace.times)) * 10
+        assert np.array_equal(trace.times, steps * record.config.dt)
+
     def test_ensemble_csv(self, tmp_path, coevolved):
         _, trace = coevolved
         p = tmp_path / "ens.csv"
@@ -161,3 +166,19 @@ class TestCoEvolvedRun:
             n_rows = sum(1 for _ in fh)
         assert header == "t,xi,X,U,V"
         assert n_rows == trace.x.size
+
+
+class TestBreakingEnsemble:
+    def test_slope_blowup_before_v_overflows(self):
+        # the ensemble's V runs to -inf near t = 3.2, well ahead of the grid
+        # slope at n = 256; min V is checked every step, so the run stops at
+        # stop_slope with sup|u| inside its bound
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=256,
+                               dt=1e-3, t_max=5.0, stop_slope=-30.0)
+        record, trace = co_evolve(cfg, n_xi=32)
+        assert record.terminated is Termination.SlopeBlowup
+        assert trace.min_v[-1] <= -30.0
+        assert 3.0 < trace.times[-1] < 3.3
+        d = cfg.initial
+        assert np.all(record.sup_abs_u
+                      <= d.sup_abs + record.times * d.l2 + 1e-6)

@@ -136,6 +136,14 @@ class TestCharacteristicsCommand:
         assert summary["sup_consistency"] < 1e-6
         assert (tmp_path / "ensemble.csv").exists()
 
+    def test_breaking_data_exits_zero(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["characteristics", "--a", "0.05", "--n", "256", "--t-max", "5",
+             "--stop-slope", "-30", "--n-xi", "32",
+             "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["terminated"] == "SlopeBlowup"
+
 
 class TestWaveCommand:
     def test_corner(self, tmp_path, capsys):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ohlab.errors import InsufficientWindow, NumericalFailure
-from ohlab.evolution import (SimulationConfig, SimulationRecord, Termination,
-                             estimate_blowup, run_summary, simulate, step,
-                             write_timeseries)
-from ohlab.fourier import PeriodicGrid, conserved_quantities
+from ohlab.characteristics import co_evolve
+from ohlab.errors import InsufficientWindow
+from ohlab.evolution import (SimulationConfig, SimulationRecord,
+                             SpectralWorkspace, Termination, estimate_blowup,
+                             run_summary, simulate, write_timeseries)
+from ohlab.fourier import PeriodicField, PeriodicGrid, conserved_quantities
 from ohlab.initial import sampled_data, two_mode_quantities
 
 TWO_PI = 2.0 * np.pi
@@ -50,25 +51,31 @@ class TestLinearDispersion:
 class TestStep:
     def test_one_step_matches_simulate(self):
         d = two_mode_quantities(0.05, 0.0)
-        u = d.sample(PeriodicGrid(256))
-        out = step(u, 1e-3, 1.0)
+        grid = PeriodicGrid(256)
+        out = SpectralWorkspace(grid).rk4_step(d.sample(grid).coefficients,
+                                               1e-3, 1.0)
         cfg = SimulationConfig(d, n=256, dt=1e-3, t_max=1e-3)
         rec = simulate(cfg)
-        assert np.max(np.abs(out.values - rec.final_field.values)) < 1e-14
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflow_raises(self):
-        d = sampled_data(lambda x: 1e200 * np.sin(TWO_PI * x), n=64)
-        u = d.sample(PeriodicGrid(64))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalFailure):
-                step(step(u, 1.0, 1.0), 1.0, 1.0)
+        values = PeriodicField(grid, coefficients=out).values
+        assert np.max(np.abs(values - rec.final_field.values)) < 1e-14
 
     def test_zero_mean_preserved(self):
-        u = two_mode_quantities(0.3, 0.1).sample(PeriodicGrid(128))
+        grid = PeriodicGrid(128)
+        ws = SpectralWorkspace(grid)
+        c = two_mode_quantities(0.3, 0.1).sample(grid).coefficients
         for _ in range(20):
-            u = step(u, 1e-2, 1.0)
-        assert abs(u.mean) < 1e-15
+            c = ws.rk4_step(c, 1e-2, 1.0)
+        assert abs(PeriodicField(grid, coefficients=c).mean) < 1e-15
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_ends_in_numerical_failure():
+    d = sampled_data(lambda x: 1e200 * np.sin(TWO_PI * x), n=64)
+    cfg = SimulationConfig(d, n=64, dt=1.0, t_max=2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert simulate(cfg).terminated is Termination.NumericalFailure
+        record, _ = co_evolve(cfg, n_xi=16)
+        assert record.terminated is Termination.NumericalFailure
 
 
 class TestBreakingRun:
@@ -118,6 +125,17 @@ class TestSnapshots:
         s25, s75 = rec.snapshots[0.25], rec.snapshots[0.75]
         assert np.all(np.isfinite(s25.values))
         assert np.max(np.abs(s25.values - s75.values)) > 1e-8
+
+    def test_snapshot_between_samples_taken_at_its_time(self):
+        # stride 7 samples at t = 0.98 and 1.05; the snapshot is the t = 1.0
+        # state all the same
+        d = two_mode_quantities(0.05, 0.0)
+        snap = simulate(SimulationConfig(d, n=256, dt=1e-2, t_max=2.0,
+                                         stride=7, snapshot_times=(1.0,)))
+        exact = simulate(SimulationConfig(d, n=256, dt=1e-2, t_max=1.0))
+        err = np.max(np.abs(snap.snapshots[1.0].values
+                            - exact.final_field.values))
+        assert err <= 1e-14
 
 
 class TestEstimator:
