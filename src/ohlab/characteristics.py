@@ -159,7 +159,18 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
     is judged by `slope_verdict` on the steeper of min V and the grid's
     min u_x.  The returned SimulationRecord is recorded on the same sample
     times.
+
+    Raises ValueError for config fields it cannot honour: nonlinear=False
+    (V' = -V^2 + gamma*U holds only for the nonlinear equation), stride != 1
+    (sampling is set by sample_stride) and snapshot_times.
     """
+    if not config.nonlinear:
+        raise ValueError("co_evolve needs the nonlinear equation")
+    if config.stride != 1:
+        raise ValueError("co_evolve samples by sample_stride; stride must "
+                         "be 1")
+    if config.snapshot_times:
+        raise ValueError("co_evolve takes no snapshots")
     grid = PeriodicGrid(config.n)
     u0 = config.initial.sample(grid)
     provider = CoSteppingProvider(u0, config.gamma, 0.5 * config.dt,

@@ -1,9 +1,13 @@
 """Config-driven command line: simulate | criteria | characteristics | wave
 | scan.
 
-Configs are flat key = value text files; any key can be overridden by a
---key flag.  Outputs (CSV data plus small matplotlib plot scripts) land in
-output_dir, which defaults to $OHLAB_OUTPUT_DIR or the working directory.
+Each subcommand reads its own keys, listed with their defaults in
+COMMAND_KEYS; a key's type is the type of its default.  Settings come from
+the defaults, then a flat key = value config file (--config), then --key
+flags.  A key the command does not read is a usage error, whether it is
+given as a flag or in the config file.  Outputs (CSV data plus small
+matplotlib plot scripts) land in output_dir, which defaults to
+$OHLAB_OUTPUT_DIR or the working directory.
 Exit status: 0 success, 1 usage error, 2 numerical failure.
 """
 from __future__ import annotations
@@ -14,6 +18,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import characteristics as chars
 from . import criteria as crit
 from . import evolution, scan as scan_mod, waves
@@ -21,26 +27,20 @@ from .errors import InsufficientWindow, NoConvergence, OhlabError
 from .evolution import SimulationConfig, Termination
 from .initial import two_mode_quantities
 
-_SCHEMA = {
-    "gamma": float, "a": float, "b": float, "n": int, "dt": float,
-    "t_max": float, "stop_slope": float, "n_xi": int, "stride": int,
-    "sample_stride": int, "output_dir": str, "snapshots": str,
-    "dealias": bool, "workers": int, "criteria_only": bool,
-    "a_min": float, "a_max": float, "a_count": int,
-    "b_min": float, "b_max": float, "b_count": int,
-    "c_over_gamma": float, "corner": bool, "branch": bool, "wave_n": int,
-    "branch_min": float, "branch_max": float, "branch_count": int,
-    "fit_depth": float,
-}
+_STEPPING = {"n": 4096, "dt": 1e-3, "t_max": 25.0, "stop_slope": -200.0}
+_RUN = {"gamma": 1.0, "a": 0.05, "b": 0.0, **_STEPPING, "dealias": True,
+        "fit_depth": -6.0, "output_dir": ""}
 
-_DEFAULTS = {
-    "gamma": 1.0, "a": 0.05, "b": 0.0, "n": 4096, "dt": 1e-3,
-    "t_max": 25.0, "stop_slope": -200.0, "n_xi": 256, "stride": 1,
-    "sample_stride": 10, "snapshots": "", "dealias": True, "workers": 1,
-    "criteria_only": True, "a_min": 0.0, "a_max": 0.2, "a_count": 41,
-    "b_min": 0.0, "b_max": 0.2, "b_count": 41, "c_over_gamma": 1.05,
-    "corner": False, "branch": False, "wave_n": 256, "branch_min": 1.01,
-    "branch_max": 1.09, "branch_count": 9, "fit_depth": -6.0,
+COMMAND_KEYS = {
+    "simulate": {**_RUN, "stride": 1, "snapshots": ""},
+    "criteria": {"gamma": 1.0, "a": 0.05, "b": 0.0, "output_dir": ""},
+    "characteristics": {**_RUN, "n_xi": 256, "sample_stride": 10},
+    "wave": {"gamma": 1.0, "c_over_gamma": 1.05, "corner": False,
+             "branch_ratios": "", "n": 256, "output_dir": ""},
+    "scan": {"gamma": 1.0, "a_min": 0.0, "a_max": 0.2, "a_count": 41,
+             "b_min": 0.0, "b_max": 0.2, "b_count": 41,
+             "criteria_only": True, "workers": 1, **_STEPPING,
+             "output_dir": ""},
 }
 
 
@@ -53,7 +53,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def read_config(path: str) -> dict:
+def _caster(default):
+    return _parse_bool if isinstance(default, bool) else type(default)
+
+
+def _floats(text: str) -> tuple:
+    """A comma list of numbers, as in snapshots and branch_ratios."""
+    return tuple(float(s) for s in text.split(",") if s.strip())
+
+
+def read_config(path: str, keys: dict) -> dict:
+    """Parse a config file against one command's key -> default table."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -64,22 +74,22 @@ def read_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _SCHEMA:
+            if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            caster = _parse_bool if _SCHEMA[key] is bool else _SCHEMA[key]
-            out[key] = caster(value)
+            out[key] = _caster(keys[key])(value)
     return out
 
 
 def _settings(args) -> dict:
-    cfg = dict(_DEFAULTS)
+    keys = COMMAND_KEYS[args.command]
+    cfg = dict(keys)
     if args.config:
-        cfg.update(read_config(args.config))
-    for key in _SCHEMA:
-        val = getattr(args, key, None)
+        cfg.update(read_config(args.config, keys))
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    if not cfg.get("output_dir"):
+    if not cfg["output_dir"]:
         cfg["output_dir"] = os.environ.get("OHLAB_OUTPUT_DIR", ".")
     return cfg
 
@@ -90,40 +100,43 @@ def _outdir(cfg) -> Path:
     return path
 
 
-def _sim_config(cfg) -> SimulationConfig:
-    snaps = tuple(float(s) for s in cfg["snapshots"].split(",") if s.strip())
+def _sim_config(cfg, **extra) -> SimulationConfig:
     return SimulationConfig(
         initial=two_mode_quantities(cfg["a"], cfg["b"]), gamma=cfg["gamma"],
         n=cfg["n"], dt=cfg["dt"], t_max=cfg["t_max"], dealias=cfg["dealias"],
-        stop_slope=cfg["stop_slope"], stride=cfg["stride"],
-        snapshot_times=snaps)
+        stop_slope=cfg["stop_slope"], **extra)
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _settings(args)
+def _fit_blowup(record, cfg, out: Path):
+    """The blow-up fit of a run that broke, with its rate products written to
+    out; None if the run did not break or its fit window is too short."""
+    if record.terminated is not Termination.SlopeBlowup:
+        return None
+    try:
+        est = evolution.estimate_blowup(record, fit_depth=cfg["fit_depth"])
+    except InsufficientWindow:
+        return None
+    chars.write_rate_products_csv(chars.rate_products(record, est),
+                                  out / "rate_products.csv")
+    (out / "plot_rate_products.py").write_text(_RATE_PLOT)
+    return est
+
+
+def _cmd_simulate(cfg) -> int:
     out = _outdir(cfg)
-    record = evolution.simulate(_sim_config(cfg))
-    est = None
-    if record.terminated is Termination.SlopeBlowup:
-        try:
-            est = evolution.estimate_blowup(record, fit_depth=cfg["fit_depth"])
-        except InsufficientWindow:
-            pass
+    record = evolution.simulate(_sim_config(
+        cfg, stride=cfg["stride"], snapshot_times=_floats(cfg["snapshots"])))
+    est = _fit_blowup(record, cfg, out)
     evolution.write_timeseries(record, out / "timeseries.csv")
     evolution.write_summary(record, est, out / "summary.json")
     for t, f in record.snapshots.items():
         evolution.write_snapshot(f, out / f"snapshot_t{t:g}.csv")
-    if est is not None:
-        products = chars.rate_products(record, est)
-        chars.write_rate_products_csv(products, out / "rate_products.csv")
-        _emit_plot_script(out / "plot_rate_products.py", _RATE_PLOT)
-    _emit_plot_script(out / "plot_timeseries.py", _TIMESERIES_PLOT)
+    (out / "plot_timeseries.py").write_text(_TIMESERIES_PLOT)
     print(json.dumps(evolution.run_summary(record, est), indent=2))
     return 2 if record.terminated is Termination.NumericalFailure else 0
 
 
-def _cmd_criteria(args) -> int:
-    cfg = _settings(args)
+def _cmd_criteria(cfg) -> int:
     d = two_mode_quantities(cfg["a"], cfg["b"])
     reports = crit.all_reports(d, cfg["gamma"])
     payload = {name: rep.as_dict() for name, rep in reports.items()}
@@ -136,8 +149,7 @@ def _cmd_criteria(args) -> int:
     return 0
 
 
-def _cmd_characteristics(args) -> int:
-    cfg = _settings(args)
+def _cmd_characteristics(cfg) -> int:
     out = _outdir(cfg)
     record, trace = chars.co_evolve(_sim_config(cfg), n_xi=cfg["n_xi"],
                                     sample_stride=cfg["sample_stride"])
@@ -146,51 +158,48 @@ def _cmd_characteristics(args) -> int:
         "terminated": record.terminated.value,
         "t_end": float(record.times[-1]),
         "sup_consistency": float(trace.consistency.max()),
+        "min_v_vs_grid": float(np.max(np.abs(trace.min_v - record.min_ux))),
         "diffeomorphism": bool(trace.diffeo.all()),
     }
-    if record.terminated is Termination.SlopeBlowup:
-        try:
-            est = evolution.estimate_blowup(record, fit_depth=cfg["fit_depth"])
-            products = chars.rate_products(record, est)
-            chars.write_rate_products_csv(products, out / "rate_products.csv")
-            summary["blowup"] = {"B": est.b, "C": est.c, "T": est.t_blowup}
-            _emit_plot_script(out / "plot_rate_products.py", _RATE_PLOT)
-        except InsufficientWindow:
-            pass
+    est = _fit_blowup(record, cfg, out)
+    if est is not None:
+        summary["blowup"] = {"B": est.b, "C": est.c, "T": est.t_blowup}
     print(json.dumps(summary, indent=2))
     return 2 if record.terminated is Termination.NumericalFailure else 0
 
 
-def _cmd_wave(args) -> int:
-    cfg = _settings(args)
+def _cmd_wave(cfg) -> int:
+    """A non-empty branch_ratios sweeps the branch and writes its steepest
+    profile; else corner gives the corner wave, else one Newton solve."""
+    gamma, n = cfg["gamma"], cfg["n"]
+    ratios = _floats(cfg["branch_ratios"])
+    if ratios and cfg["corner"]:
+        raise ValueError("corner and branch_ratios select different wave "
+                         "modes; give one of them")
     out = _outdir(cfg)
-    if cfg["branch"]:
-        lo, hi, count = cfg["branch_min"], cfg["branch_max"], cfg["branch_count"]
-        step = (hi - lo) / max(count - 1, 1)
-        ratios = [lo + i * step for i in range(count)]
-        profiles = waves.continuation_branch(cfg["gamma"], ratios,
-                                             n=cfg["wave_n"])
+    info = {}
+    if ratios:
+        profiles = waves.continuation_branch(gamma, ratios, n=n)
         waves.write_branch_csv(profiles, out / "branch.csv")
-        print(json.dumps({"branch_points": len(profiles),
-                          "max_residual": max(waves.ode_residual(w)
-                                              for w in profiles)}))
-        return 0
-    if cfg["corner"]:
-        w = waves.corner_wave(cfg["gamma"], n=cfg["wave_n"])
+        info = {"branch_points": len(profiles),
+                "max_residual": max(waves.ode_residual(w) for w in profiles)}
+        w = max(profiles, key=lambda p: p.c)
+        residual = waves.ode_residual(w)
+    elif cfg["corner"]:
+        w = waves.corner_wave(gamma, n=n)
         residual = waves.ode_residual(w, scheme="fd", exclude_crest=4)
     else:
-        w = waves.solve_periodic_wave(cfg["c_over_gamma"] * cfg["gamma"],
-                                      cfg["gamma"], n=cfg["wave_n"])
+        w = waves.solve_periodic_wave(cfg["c_over_gamma"] * gamma, gamma,
+                                      n=n)
         residual = waves.ode_residual(w)
     waves.write_profile_csv(w, out / "wave.csv")
-    _emit_plot_script(out / "plot_wave.py", _WAVE_PLOT)
-    print(json.dumps({"c_over_gamma": w.c / w.gamma,
+    (out / "plot_wave.py").write_text(_WAVE_PLOT)
+    print(json.dumps({**info, "c_over_gamma": w.c / w.gamma,
                       "amplitude": w.amplitude, "residual": residual}))
     return 0
 
 
-def _cmd_scan(args) -> int:
-    cfg = _settings(args)
+def _cmd_scan(cfg) -> int:
     out = _outdir(cfg)
     sconf = scan_mod.ScanConfig(
         a_range=(cfg["a_min"], cfg["a_max"], cfg["a_count"]),
@@ -200,18 +209,18 @@ def _cmd_scan(args) -> int:
         t_max=cfg["t_max"], stop_slope=cfg["stop_slope"])
     result = scan_mod.scan(sconf)
     if cfg["criteria_only"]:
-        scan_mod.write_region_csv(result, out / "region.csv")
+        csv = "region.csv"
+        scan_mod.write_region_csv(result, out / csv)
     else:
-        scan_mod.write_simulation_csv(result, out / "region_sim.csv")
-    _emit_plot_script(out / "plot_region.py", _REGION_PLOT)
+        csv = "region_sim.csv"
+        scan_mod.write_simulation_csv(result, out / csv)
+    (out / "plot_region.py").write_text(_REGION_PLOT.format(csv=csv))
     violations = scan_mod.region_ordering_violations(result)
     print(json.dumps({"points": len(result.rows),
+                      "charac_satisfied": sum(r["charac"]
+                                              for r in result.rows),
                       "ordering_violations": len(violations)}))
     return 0
-
-
-def _emit_plot_script(path: Path, body: str):
-    path.write_text(body)
 
 
 _TIMESERIES_PLOT = """\
@@ -261,11 +270,12 @@ fig.tight_layout()
 fig.savefig("wave.png", dpi=150)
 """
 
+# str.format template: {csv} is the table the scan wrote
 _REGION_PLOT = """\
 import matplotlib.pyplot as plt
 import numpy as np
 
-data = np.genfromtxt("region.csv", delimiter=",", names=True)
+data = np.genfromtxt("{csv}", delimiter=",", names=True)
 fig, ax = plt.subplots(figsize=(6, 6))
 for name, marker in (("hunter", "s"), ("cond1", "o"), ("charac", ".")):
     mask = data[name] > 0
@@ -278,6 +288,14 @@ fig.tight_layout()
 fig.savefig("region.png", dpi=150)
 """
 
+_HANDLERS = {
+    "simulate": _cmd_simulate,
+    "criteria": _cmd_criteria,
+    "characteristics": _cmd_characteristics,
+    "wave": _cmd_wave,
+    "scan": _cmd_scan,
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -285,25 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wave-breaking laboratory for a nonlocal shallow-water "
                     "equation on the circle")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": _cmd_simulate,
-        "criteria": _cmd_criteria,
-        "characteristics": _cmd_characteristics,
-        "wave": _cmd_wave,
-        "scan": _cmd_scan,
-    }
-    for name, fn in commands.items():
+    for name, keys in COMMAND_KEYS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="flat key = value settings file")
-        for key, typ in _SCHEMA.items():
-            flag = "--" + key.replace("_", "-")
-            if typ is bool:
-                p.add_argument(flag, dest=key, default=None,
-                               type=_parse_bool, metavar="BOOL")
-            else:
-                p.add_argument(flag, dest=key, default=None, type=typ)
-        p.set_defaults(handler=fn)
+        for key, default in keys.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           default=None, type=_caster(default),
+                           metavar="BOOL" if isinstance(default, bool)
+                           else None,
+                           help=f"default {default!r}")
     return parser
 
 
@@ -314,7 +323,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
+        return _HANDLERS[args.command](_settings(args))
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -182,3 +182,15 @@ class TestBreakingEnsemble:
         d = cfg.initial
         assert np.all(record.sup_abs_u
                       <= d.sup_abs + record.times * d.l2 + 1e-6)
+
+
+class TestUnsupportedConfig:
+    # co_evolve has its own sampling and no linear variant; these fields
+    # used to be dropped without a word
+    @pytest.mark.parametrize("field", [
+        {"nonlinear": False}, {"stride": 7}, {"snapshot_times": (0.01,)}])
+    def test_rejected(self, field):
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64,
+                               dt=1e-2, t_max=0.02, **field)
+        with pytest.raises(ValueError):
+            co_evolve(cfg, n_xi=8)

@@ -1,11 +1,15 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ohlab.cli import dispatch, read_config
+from ohlab.cli import COMMAND_KEYS, _floats, dispatch, read_config
+
+SIMULATE = COMMAND_KEYS["simulate"]
 
 
 def run_cli(argv, capsys):
@@ -22,25 +26,50 @@ class TestConfigFile:
                      "n = 1024   # grid\n"
                      "\n"
                      "dealias = true\n")
-        assert read_config(p) == {"a": 0.05, "n": 1024, "dealias": True}
+        assert read_config(p, SIMULATE) == {"a": 0.05, "n": 1024,
+                                            "dealias": True}
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("amplitude = 0.05\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            read_config(p)
+        for keys in COMMAND_KEYS.values():
+            with pytest.raises(ValueError, match="unknown key"):
+                read_config(p, keys)
 
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("a 0.05\n")
         with pytest.raises(ValueError, match="expected key = value"):
-            read_config(p)
+            read_config(p, SIMULATE)
 
     def test_bad_bool(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("dealias = maybe\n")
         with pytest.raises(ValueError, match="not a boolean"):
-            read_config(p)
+            read_config(p, SIMULATE)
+
+
+# every committed config and the command that runs it
+CONFIG_COMMANDS = {
+    "breaking_a05.cfg": "simulate",
+    "breaking_a01_b005.cfg": "simulate",
+    "breaking_a0_b005.cfg": "simulate",
+    "control_a005.cfg": "simulate",
+    "characteristics.cfg": "characteristics",
+    "region_map.cfg": "scan",
+    "wave_branch.cfg": "wave",
+    "wave_family.cfg": "wave",
+}
+
+
+def test_committed_configs_parse_for_their_command():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    names = sorted(p.name for p in configs.iterdir())
+    assert names == sorted(CONFIG_COMMANDS)
+    for name in names:
+        cfg = read_config(configs / name, COMMAND_KEYS[CONFIG_COMMANDS[name]])
+        for key in ("snapshots", "branch_ratios"):
+            _floats(cfg.get(key, ""))
 
 
 class TestExitCodes:
@@ -58,6 +87,29 @@ class TestExitCodes:
 
     def test_unparsable_flag(self, capsys):
         assert run_cli(["simulate", "--dt", "fast"], capsys)[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["criteria", "--n", "5"],
+        ["characteristics", "--stride", "7"],
+        ["characteristics", "--snapshots", "1.0"],
+        ["scan", "--n-xi", "8"],
+        ["simulate", "--workers", "2"],
+        ["wave", "--a", "0.1"],
+    ])
+    def test_flag_of_another_command(self, argv, tmp_path, capsys):
+        code = run_cli(argv + ["--output-dir", str(tmp_path)], capsys)[0]
+        assert code == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_config_key_of_another_command(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("a = 0.05\nn = 1024\n")
+        code, _, err = run_cli(["criteria", "--config", str(cfgfile),
+                                "--output-dir", str(tmp_path / "out")],
+                               capsys)
+        assert code == 1
+        assert "unknown key 'n'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
@@ -134,6 +186,7 @@ class TestCharacteristicsCommand:
         summary = json.loads(out)
         assert summary["diffeomorphism"] is True
         assert summary["sup_consistency"] < 1e-6
+        assert 0.0 <= summary["min_v_vs_grid"] < 1e-3
         assert (tmp_path / "ensemble.csv").exists()
 
     def test_breaking_data_exits_zero(self, tmp_path, capsys):
@@ -148,7 +201,7 @@ class TestCharacteristicsCommand:
 class TestWaveCommand:
     def test_corner(self, tmp_path, capsys):
         code, out, _ = run_cli(
-            ["wave", "--corner", "true", "--wave-n", "512",
+            ["wave", "--corner", "true", "--n", "512",
              "--output-dir", str(tmp_path)], capsys)
         assert code == 0
         info = json.loads(out)
@@ -159,7 +212,7 @@ class TestWaveCommand:
 
     def test_newton(self, tmp_path, capsys):
         code, out, _ = run_cli(
-            ["wave", "--c-over-gamma", "1.05", "--wave-n", "256",
+            ["wave", "--c-over-gamma", "1.05", "--n", "256",
              "--output-dir", str(tmp_path)], capsys)
         assert code == 0
         info = json.loads(out)
@@ -167,15 +220,26 @@ class TestWaveCommand:
 
     def test_branch(self, tmp_path, capsys):
         code, out, _ = run_cli(
-            ["wave", "--branch", "true", "--branch-min", "1.01",
-             "--branch-max", "1.05", "--branch-count", "3",
-             "--wave-n", "128", "--output-dir", str(tmp_path)], capsys)
+            ["wave", "--branch-ratios", "1.01,1.03,1.05", "--n", "128",
+             "--output-dir", str(tmp_path)], capsys)
         assert code == 0
         info = json.loads(out)
         assert info["branch_points"] == 3
         lines = (tmp_path / "branch.csv").read_text().strip().splitlines()
         assert lines[0] == "c_over_gamma,amplitude,residual"
         assert len(lines) == 4
+        # the steepest profile goes through the one-profile emission path
+        assert info["c_over_gamma"] == pytest.approx(1.05, rel=1e-12)
+        assert float(lines[-1].split(",")[1]) == info["amplitude"]
+        assert (tmp_path / "wave.csv").exists()
+
+    def test_corner_and_branch_conflict(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["wave", "--corner", "true", "--branch-ratios", "1.01,1.03",
+             "--output-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "corner and branch_ratios" in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestScanCommand:
@@ -188,6 +252,22 @@ class TestScanCommand:
         code4, out4, _ = run_cli(base + ["--workers", "4",
                                          "--output-dir", str(d4)], capsys)
         assert code1 == code4 == 0
-        assert json.loads(out1)["ordering_violations"] == 0
+        summary = json.loads(out1)
+        assert summary["ordering_violations"] == 0
+        rows = (d1 / "region.csv").read_text().splitlines()[1:]
+        assert summary["charac_satisfied"] \
+            == sum(row.split(",")[5] == "1" for row in rows)
         assert (d1 / "region.csv").read_bytes() \
             == (d4 / "region.csv").read_bytes()
+
+    @pytest.mark.parametrize("criteria_only", ["true", "false"])
+    def test_plot_script_reads_the_written_table(self, criteria_only,
+                                                 tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["scan", "--a-min", "0.05", "--a-count", "1", "--b-count", "1",
+             "--criteria-only", criteria_only, "--n", "64", "--dt", "0.01",
+             "--t-max", "0.05", "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        script = (tmp_path / "plot_region.py").read_text()
+        name = re.search(r'genfromtxt\("([^"]+)"', script).group(1)
+        assert (tmp_path / name).exists()
