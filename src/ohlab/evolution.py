@@ -2,9 +2,11 @@
 unit circle, with per-step diagnostics and the blow-up regression estimator.
 
 The solver state is the rfft coefficient vector of u.  The quadratic term is
-evaluated on a 3/2 zero-padded grid, which makes the product alias-free for
-every retained mode; the mode-0 and Nyquist coefficients are pinned to zero
-throughout (zero mass, odd-derivative convention).
+taken as 1/2 (u^2)_x, with u squared on a 3/2 zero-padded grid: alias-free
+for every retained mode, so it is the same Galerkin term as u u_x up to
+round-off, at two transforms instead of three.  The mode-0 and Nyquist
+coefficients are pinned to zero throughout (zero mass, odd-derivative
+convention).
 
 `march` is the one stepping loop: `simulate` consumes it directly and
 `characteristics.co_evolve` through its field provider.  Both sample with
@@ -110,34 +112,24 @@ class BlowupEstimate:
 
 
 class SpectralWorkspace:
-    """Preallocated buffers and multipliers for one grid size."""
+    """The RK4 tendency on one grid size, its multipliers built once."""
 
     def __init__(self, grid: PeriodicGrid, dealias: bool = True):
         self.grid = grid
-        n = grid.n
-        self.n = n
-        self.deriv = grid.deriv_multiplier
+        self.n = n = grid.n
         self.antideriv = grid.antideriv_multiplier
-        self.pad = 3 * n // 2 if dealias else n
-        self.dealias = dealias
-
-    def _padded_values(self, coeffs: np.ndarray) -> np.ndarray:
-        m, n = self.pad, self.n
-        if m == n:
-            return np.fft.irfft(coeffs)
-        out = np.zeros(m // 2 + 1, dtype=complex)
-        out[: n // 2 + 1] = coeffs
-        return np.fft.irfft(out * (m / n))
+        # u is squared on an m-point grid; m = 3n/2 is alias-free (3/2 rule)
+        self.pad = m = 3 * n // 2 if dealias else n
+        # rfft scales onto the m-point grid and, with 1/2 d/dx, back to n
+        self.up = m / n
+        self.half_deriv_down = 0.5 * grid.deriv_multiplier * (n / m)
 
     def nonlinear_term(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients of u * u_x, alias-free when padding is enabled."""
-        m, n = self.pad, self.n
-        u = self._padded_values(coeffs)
-        ux = self._padded_values(coeffs * self.deriv)
-        w = np.fft.rfft(u * ux)
-        if m != n:
-            w = w[: n // 2 + 1] * (n / m)
-        return w
+        """Coefficients of u u_x = 1/2 (u^2)_x: u squared on the m-point grid
+        (irfft zero-pads), truncated back to the n modes; alias-free when
+        padding is enabled."""
+        u = np.fft.irfft(coeffs * self.up, n=self.pad)
+        return np.fft.rfft(u * u)[: self.n // 2 + 1] * self.half_deriv_down
 
     def rhs(self, coeffs: np.ndarray, gamma: float,
             nonlinear: bool = True) -> np.ndarray:

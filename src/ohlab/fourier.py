@@ -217,11 +217,8 @@ def field_diagnostics(coeffs: np.ndarray, grid: PeriodicGrid,
     samples, alias-free because u^3 reaches only 3n/2.
     """
     n, length, r = grid.n, grid.length, _REFINE * grid.n
-    pad = np.zeros(r // 2 + 1, dtype=complex)
-    pad[: n // 2 + 1] = coeffs
-    u = np.fft.irfft(pad * (r / n))
-    pad[: n // 2 + 1] = coeffs * grid.deriv_multiplier
-    ux = np.fft.irfft(pad * (r / n))
+    u = np.fft.irfft(coeffs * (r / n), n=r)
+    ux = np.fft.irfft(coeffs * grid.deriv_multiplier * (r / n), n=r)
     umin, umax = parabolic_minmax(u)
     dmin, dmax = parabolic_minmax(ux)
     mass = float(np.real(coeffs[0])) / n * length
@@ -229,7 +226,7 @@ def field_diagnostics(coeffs: np.ndarray, grid: PeriodicGrid,
     q = (mags2[0] + 2.0 * mags2[1:-1].sum() + mags2[-1]) / n ** 2 * length
     g2 = np.abs(coeffs * grid.antideriv_multiplier) ** 2
     e = gamma * (2.0 * g2[1:-1].sum()) / n ** 2 * length \
-        + float(np.mean(u ** 3)) * length / 3.0
+        + float(np.mean(u * u * u)) * length / 3.0
     return FieldDiagnostics(dmin, dmax, max(abs(umin), abs(umax)), mass,
                             float(q), float(e))
 

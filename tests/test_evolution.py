@@ -68,6 +68,41 @@ class TestStep:
         assert abs(PeriodicField(grid, coefficients=c).mean) < 1e-15
 
 
+class TestNonlinearTerm:
+    @staticmethod
+    def random_coeffs(n, seed):
+        """Every mode 1..n/2-1 filled: zero mean, zero Nyquist."""
+        rng = np.random.default_rng(seed)
+        c = np.zeros(n // 2 + 1, dtype=complex)
+        c[1:-1] = rng.standard_normal(n // 2 - 1) \
+            + 1j * rng.standard_normal(n // 2 - 1)
+        return c * (n / 2)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_matches_projected_product(self, n):
+        # P(u u_x) from u and u_x sampled on a 4n grid, where the product
+        # (bandwidth n) is exact
+        c = self.random_coeffs(n, seed=n)
+        m = 4 * n
+        ik = 1j * TWO_PI * np.arange(n // 2 + 1)
+        u = np.fft.irfft(c * (m / n), n=m)
+        ux = np.fft.irfft(c * ik * (m / n), n=m)
+        ref = np.fft.rfft(u * ux)[: n // 2 + 1] * (n / m)
+        ref[-1] = 0.0
+        got = SpectralWorkspace(PeriodicGrid(n)).nonlinear_term(c)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_rhs_conserves_q(self, n):
+        # dQ/dt is the Parseval-weighted Re sum conj(c_k) rhs_k
+        c = self.random_coeffs(n, seed=n + 1)
+        rhs = SpectralWorkspace(PeriodicGrid(n)).rhs(c, 1.0)
+        w = np.full(n // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        terms = w * np.conj(c) * rhs
+        assert abs(np.sum(terms).real) <= 1e-13 * np.sum(np.abs(terms))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_ends_in_numerical_failure():
     d = sampled_data(lambda x: 1e200 * np.sin(TWO_PI * x), n=64)

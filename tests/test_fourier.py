@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 from ohlab.errors import NonZeroMean
 from ohlab.fourier import (ConservedSet, PeriodicField, PeriodicGrid,
                            antiderivative_zero_mean, conserved_quantities,
-                           integral, mass_tolerance, parabolic_minmax,
-                           spectral_derivative)
+                           field_diagnostics, integral, mass_tolerance,
+                           parabolic_minmax, spectral_derivative)
 
 TWO_PI = 2.0 * np.pi
 
@@ -162,6 +162,25 @@ class TestConservedQuantities:
         f = PeriodicField(g, values=np.ones(g.n) * 0.1)
         with pytest.raises(NonZeroMean):
             conserved_quantities(f, 1.0)
+
+
+class TestFieldDiagnostics:
+    def test_cubic_energy_of_mixed_sign_field(self):
+        # int (cos 2 pi x + cos 4 pi x)^3 = 3/4, so E = 1/4 at gamma = 0
+        g = grid(256)
+        f = PeriodicField.from_function(
+            g, lambda x: np.cos(TWO_PI * x) + np.cos(2 * TWO_PI * x))
+        d = field_diagnostics(f.coefficients, g, 0.0)
+        assert d.e == pytest.approx(0.25, abs=1e-14)
+
+    def test_extrema_are_polished_4n_samples(self):
+        g = grid(256)
+        f = band_limited(g, np.random.default_rng(7))
+        d = field_diagnostics(f.coefficients, g, 1.0)
+        assert (d.min_slope, d.max_slope) == parabolic_minmax(
+            f.derivative_values(4 * g.n))
+        umin, umax = parabolic_minmax(f.resample(4 * g.n))
+        assert d.sup_abs == max(abs(umin), abs(umax))
 
 
 class TestQuadratureAndEvaluate:
