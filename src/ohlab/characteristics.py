@@ -52,15 +52,13 @@ class CoSteppingProvider:
     cached for the current lattice neighborhood only.
     """
 
-    def __init__(self, u0: PeriodicField, gamma: float, dt_sub: float,
-                 dealias: bool = True):
+    def __init__(self, u0: PeriodicField, gamma: float, dt_sub: float):
         self.dt_sub = dt_sub
         self.grid = u0.grid
         coeffs = u0.coefficients.copy()
         coeffs[0] = 0.0
         coeffs[-1] = 0.0
-        self._steps = march(SpectralWorkspace(u0.grid, dealias=dealias),
-                            coeffs, dt_sub, gamma)
+        self._steps = march(SpectralWorkspace(u0.grid), coeffs, dt_sub, gamma)
         self._index, _, coeffs = next(self._steps)
         self._cache: dict[int, tuple[PeriodicField, PeriodicField]] = {}
         self._store(coeffs)
@@ -162,7 +160,8 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
 
     Raises ValueError for config fields it cannot honour: nonlinear=False
     (V' = -V^2 + gamma*U holds only for the nonlinear equation), stride != 1
-    (sampling is set by sample_stride) and snapshot_times.
+    (sampling is set by sample_stride) and snapshot_times, and for
+    n_xi < 1 or sample_stride < 1.
     """
     if not config.nonlinear:
         raise ValueError("co_evolve needs the nonlinear equation")
@@ -171,10 +170,11 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
                          "be 1")
     if config.snapshot_times:
         raise ValueError("co_evolve takes no snapshots")
+    if n_xi < 1 or sample_stride < 1:
+        raise ValueError("n_xi and sample_stride must be >= 1")
     grid = PeriodicGrid(config.n)
     u0 = config.initial.sample(grid)
-    provider = CoSteppingProvider(u0, config.gamma, 0.5 * config.dt,
-                                  dealias=config.dealias)
+    provider = CoSteppingProvider(u0, config.gamma, 0.5 * config.dt)
     ens = seed(u0, n_xi)
     rows, samples = [], []
 

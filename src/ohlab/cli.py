@@ -28,7 +28,7 @@ from .evolution import SimulationConfig, Termination
 from .initial import two_mode_quantities
 
 _STEPPING = {"n": 4096, "dt": 1e-3, "t_max": 25.0, "stop_slope": -200.0}
-_RUN = {"gamma": 1.0, "a": 0.05, "b": 0.0, **_STEPPING, "dealias": True,
+_RUN = {"gamma": 1.0, "a": 0.05, "b": 0.0, **_STEPPING,
         "fit_depth": -6.0, "output_dir": ""}
 
 COMMAND_KEYS = {
@@ -103,7 +103,7 @@ def _outdir(cfg) -> Path:
 def _sim_config(cfg, **extra) -> SimulationConfig:
     return SimulationConfig(
         initial=two_mode_quantities(cfg["a"], cfg["b"]), gamma=cfg["gamma"],
-        n=cfg["n"], dt=cfg["dt"], t_max=cfg["t_max"], dealias=cfg["dealias"],
+        n=cfg["n"], dt=cfg["dt"], t_max=cfg["t_max"],
         stop_slope=cfg["stop_slope"], **extra)
 
 

@@ -11,8 +11,14 @@ functionals of the initial data:
   where T1(eps) solves 2*sqrt(gamma)*T*sqrt(beta(T)) = log(1 + 2/eps)
   and beta(T) bounds sup|u| on [0, T].
 
-The same epsilon-search applies on the periodic circle (beta linear in T)
-and on the decaying line (beta quadratic in T), so both share one core.
+The characteristics criterion is searched over the bound time T, not over
+eps: each T > 0 gives tau = 2*sqrt(gamma)*T*sqrt(beta(T)) and so
+eps = 2/expm1(tau) in closed form, and the margin
+-u0'(x0) - (1+eps(T))*sqrt(gamma*beta(T)) is maximized on a log-T grid that
+is zoomed around its maximum.  Only the ends of the eps range, and find_t1,
+invert the defining equation, by Newton's method on T^2*beta(T).  The same
+search serves the periodic circle (beta linear in T) and the decaying line
+(beta quadratic in T).
 """
 from __future__ import annotations
 
@@ -61,13 +67,20 @@ def hunter_criterion(d: InitialData, gamma: float = 1.0) -> CriterionReport:
                            time_bound=(2.0 / m if sat else None))
 
 
+def _check_gamma(gamma: float):
+    if not gamma > 0.0:
+        raise ValueError("gamma must be positive")
+
+
 def cubic_criterion_one(d: InitialData, gamma: float) -> CriterionReport:
+    _check_gamma(gamma)
     thr = (1.5 * gamma * d.l2) ** 1.5
     margin = -d.cube - thr
     return CriterionReport("cond1", margin > 0.0, float(margin))
 
 
 def cubic_criterion_two(d: InitialData, gamma: float) -> CriterionReport:
+    _check_gamma(gamma)
     margin = min(-d.cube, d.l2 - 0.75 * gamma)
     return CriterionReport("cond2", margin > 0.0, float(margin))
 
@@ -75,32 +88,34 @@ def cubic_criterion_two(d: InitialData, gamma: float) -> CriterionReport:
 # ---------------------------------------------------------------------------
 # characteristics criterion
 
-def _invert_bound_time(beta_coeffs, gamma: float, target) -> np.ndarray:
-    """Solve 2*sqrt(gamma)*T*sqrt(beta(T)) = target for T >= 0 (vectorized).
+_EPS_RANGE = (1e-4, 1e4)
+_GRID = 65          # points per pass of the log-T search
+_ZOOMS = 8          # each zoom narrows the bracket 32-fold
+_NEWTON_CAP = 50    # Newton takes <= 8 steps from the one-term start
 
-    beta(T) = b0 + b1*T + b2*T^2 with nonnegative coefficients, so the left
-    side is strictly increasing from 0 and the root is unique.
+
+def _bound_time(beta_coeffs, gamma: float, tau: float) -> float:
+    """The T > 0 with 2*sqrt(gamma)*T*sqrt(beta(T)) = tau > 0.
+
+    f(T) = T^2*beta(T) - s^2 with s = tau/(2*sqrt(gamma)) is increasing and
+    convex for T > 0.  Newton starts at the smallest root of the one-term
+    equations b_k*T^(k+2) = s^2, which lies at or above the root, so it
+    falls monotonically onto it; a step that no longer falls means round-off.
     """
+    _check_gamma(gamma)
     b0, b1, b2 = beta_coeffs
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-
-    def lhs(t):
-        return 2.0 * math.sqrt(gamma) * t * np.sqrt(b0 + b1 * t + b2 * t * t)
-
-    hi = np.ones_like(target)
-    for _ in range(200):
-        grow = lhs(hi) < target
-        if not grow.any():
+    s = tau / (2.0 * math.sqrt(gamma))
+    t = min(s ** (2.0 / (k + 2)) / b ** (1.0 / (k + 2))
+            for k, b in enumerate(beta_coeffs) if b > 0.0)
+    for _ in range(_NEWTON_CAP):
+        # f/f' with f divided by T: neither T^2 nor s^2 is formed, so tiny
+        # or huge data and epsilon neither overflow nor underflow
+        t_next = t - ((t * (b0 + (b1 + b2 * t) * t) - s * (s / t))
+                      / (2.0 * b0 + (3.0 * b1 + 4.0 * b2 * t) * t))
+        if not t_next < t:
             break
-        hi[grow] *= 2.0
-    lo = np.zeros_like(target)
-    # bisection: ~90 halvings reach relative 1e-12 from any bracket width
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        below = lhs(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        t = t_next
+    return t
 
 
 def find_t1(sup_abs: float, l2: float, gamma: float, epsilon: float) -> float:
@@ -108,58 +123,42 @@ def find_t1(sup_abs: float, l2: float, gamma: float, epsilon: float) -> float:
     = log(1 + 2/epsilon)."""
     if sup_abs == 0.0 and l2 == 0.0:
         raise DegenerateData("zero data has no bound time")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    target = math.log1p(2.0 / epsilon)
-    return float(_invert_bound_time((sup_abs, gamma * l2, 0.0), gamma,
-                                    target)[0])
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+    return _bound_time((sup_abs, gamma * l2, 0.0), gamma,
+                       math.log1p(2.0 / epsilon))
 
 
-def _epsilon_search(min_slope: float, gamma: float, beta_coeffs):
-    """Maximize margin(eps) = -min_slope - (1+eps)*sqrt(gamma*beta(T1(eps)))
-    over eps in [1e-4, 1e4]: log grid at 64 points per decade, then
-    golden-section refinement on log(eps) around the grid maximum."""
+def _epsilon_search(name: str, min_slope: float, gamma: float,
+                    beta_coeffs) -> CriterionReport:
+    """Maximize margin = -min_slope - (1+eps)*sqrt(gamma*beta(T)) over the
+    bound time T, with eps = 2/expm1(2*sqrt(gamma)*T*sqrt(beta(T))) and eps
+    in _EPS_RANGE: a log-T grid, zoomed _ZOOMS times around its maximum."""
     b0, b1, b2 = beta_coeffs
 
-    def margin_of(eps):
-        eps = np.asarray(eps, dtype=float)
-        target = np.log1p(2.0 / eps)
-        t1 = _invert_bound_time(beta_coeffs, gamma, target)
-        beta = b0 + b1 * t1 + b2 * t1 * t1
-        return (-min_slope) - (1.0 + eps) * np.sqrt(gamma * beta), t1
+    def eps_and_margin(t):
+        beta = b0 + (b1 + b2 * t) * t
+        eps = 2.0 / np.expm1(2.0 * math.sqrt(gamma) * t * np.sqrt(beta))
+        return eps, (-min_slope) - (1.0 + eps) * np.sqrt(gamma * beta)
 
-    grid = np.logspace(-4.0, 4.0, 8 * 64 + 1)
-    margins, _ = margin_of(grid)
-    j = int(np.argmax(margins))
-    lo = math.log(grid[max(j - 1, 0)])
-    hi = math.log(grid[min(j + 1, len(grid) - 1)])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, dd = b - phi * (b - a), a + phi * (b - a)
-    fc = margin_of(math.exp(c))[0]
-    fd = margin_of(math.exp(dd))[0]
-    for _ in range(60):
-        if fc >= fd:
-            b, dd, fd = dd, c, fc
-            c = b - phi * (b - a)
-            fc = margin_of(math.exp(c))[0]
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + phi * (b - a)
-            fd = margin_of(math.exp(dd))[0]
-    eps = math.exp(0.5 * (a + b))
-    margin, t1 = margin_of(eps)
-    return float(margin[0]), float(eps), float(t1[0])
+    lo, hi = (math.log(_bound_time(beta_coeffs, gamma, math.log1p(2.0 / e)))
+              for e in reversed(_EPS_RANGE))
+    for _ in range(_ZOOMS + 1):
+        log_t = np.linspace(lo, hi, _GRID)
+        j = int(np.argmax(eps_and_margin(np.exp(log_t))[1]))
+        lo, hi = log_t[max(j - 1, 0)], log_t[min(j + 1, _GRID - 1)]
+    t1 = math.exp(log_t[j])
+    eps, margin = map(float, eps_and_margin(t1))
+    sat = margin > 0.0
+    return CriterionReport(name, sat, margin,
+                           time_bound=(t1 if sat else None), epsilon=eps)
 
 
 def characteristics_criterion(d: InitialData, gamma: float) -> CriterionReport:
     if d.sup_abs == 0.0 and d.l2 == 0.0:
         return CriterionReport("charac", False, -math.inf)
-    margin, eps, t1 = _epsilon_search(d.min_slope, gamma,
-                                      (d.sup_abs, gamma * d.l2, 0.0))
-    sat = margin > 0.0
-    return CriterionReport("charac", sat, margin,
-                           time_bound=(t1 if sat else None), epsilon=eps)
+    return _epsilon_search("charac", d.min_slope, gamma,
+                           (d.sup_abs, gamma * d.l2, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +180,7 @@ class LineData:
 
 
 def line_criterion(data: LineData, gamma: float) -> CriterionReport:
+    _check_gamma(gamma)
     vals = data.values
     n = len(vals)
     peak = float(np.max(np.abs(vals)))
@@ -202,11 +202,8 @@ def line_criterion(data: LineData, gamma: float) -> CriterionReport:
 
     c_bound = math.sqrt(gamma / 2.0) * math.sqrt(d.e + gamma * d.q
                                                  + d.q * d.sup_abs / 3.0)
-    margin, eps, t1 = _epsilon_search(d.min_slope, gamma,
-                                      (d.sup_abs, c_bound, gamma * d.q / 6.0))
-    sat = margin > 0.0
-    return CriterionReport("line", sat, margin,
-                           time_bound=(t1 if sat else None), epsilon=eps)
+    return _epsilon_search("line", d.min_slope, gamma,
+                           (d.sup_abs, c_bound, gamma * d.q / 6.0))
 
 
 def all_reports(d: InitialData, gamma: float) -> dict[str, CriterionReport]:

@@ -41,7 +41,6 @@ class SimulationConfig:
     n: int = 4096
     dt: float = 1e-3
     t_max: float = 25.0
-    dealias: bool = True
     stop_slope: float = -200.0
     stride: int = 1
     snapshot_times: tuple = ()
@@ -57,7 +56,7 @@ class SimulationConfig:
 
     def summary(self) -> dict:
         d = {k: getattr(self, k) for k in
-             ("gamma", "n", "dt", "t_max", "dealias", "stop_slope", "stride")}
+             ("gamma", "n", "dt", "t_max", "stop_slope", "stride")}
         d["initial"] = {k: v for k, v in self.initial.params.items()
                         if not callable(v)}
         d["initial"]["kind"] = self.initial.kind
@@ -114,20 +113,19 @@ class BlowupEstimate:
 class SpectralWorkspace:
     """The RK4 tendency on one grid size, its multipliers built once."""
 
-    def __init__(self, grid: PeriodicGrid, dealias: bool = True):
+    def __init__(self, grid: PeriodicGrid):
         self.grid = grid
         self.n = n = grid.n
         self.antideriv = grid.antideriv_multiplier
         # u is squared on an m-point grid; m = 3n/2 is alias-free (3/2 rule)
-        self.pad = m = 3 * n // 2 if dealias else n
+        self.pad = m = 3 * n // 2
         # rfft scales onto the m-point grid and, with 1/2 d/dx, back to n
         self.up = m / n
         self.half_deriv_down = 0.5 * grid.deriv_multiplier * (n / m)
 
     def nonlinear_term(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients of u u_x = 1/2 (u^2)_x: u squared on the m-point grid
-        (irfft zero-pads), truncated back to the n modes; alias-free when
-        padding is enabled."""
+        (irfft zero-pads), truncated back to the n modes; alias-free."""
         u = np.fft.irfft(coeffs * self.up, n=self.pad)
         return np.fft.rfft(u * u)[: self.n // 2 + 1] * self.half_deriv_down
 
@@ -193,8 +191,8 @@ def simulate(config: SimulationConfig) -> SimulationRecord:
     coeffs = u0.coefficients.copy()
     coeffs[-1] = 0.0
     n_steps = int(round(config.t_max / config.dt))
-    steps = march(SpectralWorkspace(grid, dealias=config.dealias), coeffs,
-                  config.dt, config.gamma, n_steps, config.nonlinear)
+    steps = march(SpectralWorkspace(grid), coeffs, config.dt, config.gamma,
+                  n_steps, config.nonlinear)
     times, samples, snapshots = [], [], {}
     snap_left = sorted(config.snapshot_times)
     terminated = Termination.Horizon

@@ -213,6 +213,8 @@ def solve_periodic_wave(c: float, gamma: float,
     """Newton solve at speed c; initialized from the small-amplitude
     expansion unless a warm start is given.  If the cold start is too far
     from the wave, falls back to continuation from small amplitude."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     s = c / gamma
     if not 1.0 < s < CREST_SPEED_RATIO:
         raise ValueError(f"c/gamma = {s} outside the open range "
@@ -246,6 +248,8 @@ def continuation_branch(gamma: float, speed_ratios, n: int = 512):
     """Sweep of solves over increasing c/gamma with warm starts; returns the
     list of profiles in input order.  Oversized parameter steps are bisected
     automatically."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     ratios = list(speed_ratios)
     solver = _NormalizedSolver(n)
     out = []

@@ -25,9 +25,9 @@ class TestConfigFile:
                      "a = 0.05\n"
                      "n = 1024   # grid\n"
                      "\n"
-                     "dealias = true\n")
+                     "stop_slope = -30\n")
         assert read_config(p, SIMULATE) == {"a": 0.05, "n": 1024,
-                                            "dealias": True}
+                                            "stop_slope": -30.0}
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -44,9 +44,9 @@ class TestConfigFile:
 
     def test_bad_bool(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("dealias = maybe\n")
+        p.write_text("criteria_only = maybe\n")
         with pytest.raises(ValueError, match="not a boolean"):
-            read_config(p, SIMULATE)
+            read_config(p, COMMAND_KEYS["scan"])
 
 
 # every committed config and the command that runs it
@@ -100,6 +100,31 @@ class TestExitCodes:
         code = run_cli(argv + ["--output-dir", str(tmp_path)], capsys)[0]
         assert code == 1
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["criteria", "--gamma", "0", "--a", "1", "--b", "1"],
+         "gamma must be positive"),
+        (["criteria", "--gamma", "-1", "--a", "1", "--b", "1"],
+         "gamma must be positive"),
+        (["scan", "--gamma", "0", "--a-count", "1", "--b-count", "1"],
+         "gamma must be positive"),
+        (["scan", "--gamma", "-1", "--a-count", "1", "--b-count", "1"],
+         "gamma must be positive"),
+        (["wave", "--gamma", "0"], "gamma must be positive"),
+        (["wave", "--gamma", "-1"], "gamma must be positive"),
+        (["characteristics", "--sample-stride", "0"],
+         "n_xi and sample_stride must be >= 1"),
+        (["characteristics", "--n-xi", "0"],
+         "n_xi and sample_stride must be >= 1"),
+    ], ids=["criteria-gamma0", "criteria-gamma-1", "scan-gamma0",
+            "scan-gamma-1", "wave-gamma0", "wave-gamma-1",
+            "characteristics-sample-stride0", "characteristics-n-xi0"])
+    def test_out_of_range_value(self, argv, message, tmp_path, capsys):
+        code, out, err = run_cli(argv + ["--output-dir", str(tmp_path)],
+                                 capsys)
+        assert code == 1
+        assert f"error: {message}" in err
+        assert out == ""
 
     def test_config_key_of_another_command(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

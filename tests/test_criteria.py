@@ -9,9 +9,53 @@ from ohlab.criteria import (LineData, all_reports, characteristics_criterion,
                             hunter_criterion, line_criterion)
 from ohlab.errors import (DegenerateData, NonZeroMean, NotApplicable,
                           TailTooLarge)
+from ohlab.fourier import PeriodicField, PeriodicGrid, field_diagnostics
 from ohlab.initial import frequency_scaled, sampled_data, two_mode_quantities
 
 TWO_PI = 2.0 * np.pi
+# 64 points per decade over the criterion's search range eps in [1e-4, 1e4]
+EPS_GRID = np.logspace(-4.0, 4.0, 8 * 64 + 1)
+
+
+def line_beta(data, gamma):
+    """min u0' and the coefficients of beta(T) = b0 + b1*T + b2*T^2 that
+    line_criterion uses for data: b0 = sup|u0|, b1 = sqrt(gamma/2) *
+    sqrt(E + gamma*Q + Q*sup|u0|/3), b2 = gamma*Q/6."""
+    grid = PeriodicGrid(len(data.values), length=data.span)
+    coeffs = PeriodicField(grid, values=data.values).coefficients.copy()
+    coeffs[0] = 0.0
+    d = field_diagnostics(coeffs, grid, gamma)
+    b1 = math.sqrt(gamma / 2.0) * math.sqrt(d.e + gamma * d.q
+                                            + d.q * d.sup_abs / 3.0)
+    return d.min_slope, (d.sup_abs, b1, gamma * d.q / 6.0)
+
+
+def bound_time_residual(beta, gamma, report):
+    """Relative residual of 2*sqrt(gamma)*T*sqrt(beta(T)) = log(1 + 2/eps)
+    at the report's (eps, T)."""
+    b0, b1, b2 = beta
+    t = report.time_bound
+    lhs = 2.0 * math.sqrt(gamma) * t * math.sqrt(b0 + (b1 + b2 * t) * t)
+    rhs = math.log1p(2.0 / report.epsilon)
+    return abs(lhs - rhs) / rhs
+
+
+def bisect_bound_time(beta, gamma, tau):
+    """Reference root of 2*sqrt(gamma)*T*sqrt(beta(T)) = tau, elementwise:
+    bracket doubling, then 100 bisections."""
+    b0, b1, b2 = beta
+
+    def lhs(t):
+        return 2.0 * math.sqrt(gamma) * t * np.sqrt(b0 + (b1 + b2 * t) * t)
+
+    lo, hi = np.zeros_like(tau), np.ones_like(tau)
+    while np.any(lhs(hi) < tau):
+        hi = np.where(lhs(hi) < tau, 2.0 * hi, hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = lhs(mid) < tau
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 class TestFindT1:
@@ -41,6 +85,29 @@ class TestFindT1:
     def test_bad_epsilon_raises(self):
         with pytest.raises(ValueError):
             find_t1(1.0, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            find_t1(1.0, 1.0, 1.0, math.inf)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e12, 1e300])
+    def test_residual_at_extreme_epsilon(self, eps):
+        t1 = find_t1(0.3, 0.7, 2.0, eps)
+        lhs = 2.0 * math.sqrt(2.0) * t1 * math.sqrt(0.3 + 2.0 * 0.7 * t1)
+        rhs = math.log1p(2.0 / eps)
+        assert abs(lhs - rhs) <= 1e-12 * rhs
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0])
+def test_nonpositive_gamma_raises(gamma):
+    d = two_mode_quantities(1.0, 1.0)
+    line = TestLineCriterion.gaussian_slope(1.0)
+    for call in (lambda: cubic_criterion_one(d, gamma),
+                 lambda: cubic_criterion_two(d, gamma),
+                 lambda: characteristics_criterion(d, gamma),
+                 lambda: all_reports(d, gamma),
+                 lambda: find_t1(1.0, 1.0, gamma, 2.0),
+                 lambda: line_criterion(line, gamma)):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            call()
 
 
 class TestHunter:
@@ -130,14 +197,56 @@ class TestCharacteristicsCriterion:
     @given(st.floats(0.0, 5.0), st.floats(0.0, 5.0),
            st.floats(0.25, 4.0))
     def test_satisfied_iff_positive_margin(self, a, b, gamma):
-        for rep in all_reports(two_mode_quantities(a, b), gamma).values():
+        d = two_mode_quantities(a, b)
+        for rep in all_reports(d, gamma).values():
             assert rep.satisfied == (rep.margin > 0.0)
             assert (rep.time_bound is not None) <= rep.satisfied
+        charac = characteristics_criterion(d, gamma)
+        if charac.satisfied:
+            beta = (d.sup_abs, gamma * d.l2, 0.0)
+            assert bound_time_residual(beta, gamma, charac) <= 1e-12
+        data = TestLineCriterion.gaussian_slope(a + b)
+        line = line_criterion(data, gamma)
+        assert line.satisfied == (line.margin > 0.0)
+        if line.satisfied:
+            beta = line_beta(data, gamma)[1]
+            assert bound_time_residual(beta, gamma, line) <= 1e-12
 
     def test_all_reports_hunter_guard(self):
         reps = all_reports(two_mode_quantities(1.0, 1.0), 2.0)
         assert not reps["hunter"].satisfied
         assert reps["hunter"].margin == -math.inf
+
+
+class TestSearchMaximum:
+    @pytest.mark.parametrize("a, b, gamma", [
+        (0.05, 0.0, 1.0), (5.0, 0.0, 1.0), (0.1, 0.1, 1.0), (1.0, 2.0, 0.5),
+        (0.3, 0.01, 3.0)])
+    def test_two_mode_beats_the_eps_grid(self, a, b, gamma):
+        d = two_mode_quantities(a, b)
+        r = characteristics_criterion(d, gamma)
+        t1 = np.array([find_t1(d.sup_abs, d.l2, gamma, e) for e in EPS_GRID])
+        grid = (-d.min_slope) - (1.0 + EPS_GRID) * np.sqrt(
+            gamma * (d.sup_abs + gamma * d.l2 * t1))
+        assert r.margin >= grid.max() - 1e-14 * abs(r.margin)
+
+    def test_line_beats_the_eps_grid(self):
+        data = TestLineCriterion.gaussian_slope(1.0)
+        r = line_criterion(data, 1.0)
+        min_slope, (b0, b1, b2) = line_beta(data, 1.0)
+        t1 = bisect_bound_time((b0, b1, b2), 1.0, np.log1p(2.0 / EPS_GRID))
+        grid = (-min_slope) - (1.0 + EPS_GRID) * np.sqrt(
+            b0 + (b1 + b2 * t1) * t1)
+        assert r.margin >= grid.max() - 1e-14 * abs(r.margin)
+
+    @pytest.mark.parametrize("a, b, margin", [
+        (0.025, 0.025, 0.053857527243166281),
+        (0.1, 0.1, 1.1806390081538263),
+        (0.175, 0.175, 2.423001786772224)])
+    def test_benchmark_region_margins(self, a, b, margin):
+        # margin_charac of these points in bench/region_seed0.csv
+        r = characteristics_criterion(two_mode_quantities(a, b), 1.0)
+        assert r.margin == pytest.approx(margin, rel=1e-10)
 
 
 class TestTranslationInvariance:
