@@ -8,7 +8,10 @@ unwrapped: the trigonometric interpolant is periodic anyway, and unwrapped
 positions are what make the monotonicity-in-xi diagnostic meaningful.
 
 The PDE behind the ensemble is `evolution.march`, pulled half-step by
-half-step by `CoSteppingProvider`.  `co_evolve` checks min V against
+half-step by `CoSteppingProvider`, so it climbs the same grid ladder as
+`simulate`: each stored field, and each grid sample, is on the rung its
+state was stepped on, and the record lists the rungs.  Off-grid evaluation
+does not care which rung a field is on.  `co_evolve` checks min V against
 stop_slope after every ensemble step and ends the run with the same
 `slope_verdict` as `simulate`.
 """
@@ -20,10 +23,11 @@ import numpy as np
 
 from .errors import NonZeroMean, NumericalFailure, ProviderGap
 from .evolution import (BlowupEstimate, SimulationConfig, SimulationRecord,
-                        SpectralWorkspace, Termination, march, slope_verdict)
+                        Termination, march, slope_verdict)
 from .fourier import (PeriodicField, PeriodicGrid, antiderivative_zero_mean,
                       field_diagnostics, mass_tolerance, parabolic_minmax,
                       spectral_derivative)
+from .tables import write_csv
 
 
 @dataclass(frozen=True)
@@ -49,22 +53,21 @@ class CoSteppingProvider:
 
     The PDE is advanced with a sub-step of half the ensemble step so that all
     RK4 stage times of the ensemble land exactly on the lattice.  Fields are
-    cached for the current lattice neighborhood only.
+    cached, each on its own rung's grid, for the current lattice
+    neighborhood only; `grids` is the march's rung history.
     """
 
     def __init__(self, u0: PeriodicField, gamma: float, dt_sub: float):
         self.dt_sub = dt_sub
-        self.grid = u0.grid
-        coeffs = u0.coefficients.copy()
-        coeffs[0] = 0.0
-        coeffs[-1] = 0.0
-        self._steps = march(SpectralWorkspace(u0.grid), coeffs, dt_sub, gamma)
-        self._index, _, coeffs = next(self._steps)
+        self.grids = []
+        self._steps = march(u0.grid, u0.coefficients, dt_sub, gamma,
+                            grids=self.grids)
         self._cache: dict[int, tuple[PeriodicField, PeriodicField]] = {}
-        self._store(coeffs)
+        self._pull()
 
-    def _store(self, coeffs: np.ndarray):
-        u = PeriodicField(self.grid, coefficients=coeffs)
+    def _pull(self):
+        self._index, _, coeffs, rung = next(self._steps)
+        u = PeriodicField(rung, coefficients=coeffs)
         self._cache[self._index] = (u, antiderivative_zero_mean(u))
         # two lattice points of history cover all stage times of one step
         for stale in [k for k in self._cache if k < self._index - 2]:
@@ -74,8 +77,7 @@ class CoSteppingProvider:
         """Pull half-steps from the march up to lattice index idx; raises
         NumericalFailure if the PDE coefficients stop being finite."""
         while self._index < idx:
-            self._index, _, coeffs = next(self._steps)
-            self._store(coeffs)
+            self._pull()
 
     def fields_at(self, t: float) -> tuple[PeriodicField, PeriodicField]:
         idx = t / self.dt_sub
@@ -172,8 +174,7 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
         raise ValueError("co_evolve takes no snapshots")
     if n_xi < 1 or sample_stride < 1:
         raise ValueError("n_xi and sample_stride must be >= 1")
-    grid = PeriodicGrid(config.n)
-    u0 = config.initial.sample(grid)
+    u0 = config.initial.sample(PeriodicGrid(config.n))
     provider = CoSteppingProvider(u0, config.gamma, 0.5 * config.dt)
     ens = seed(u0, n_xi)
     rows, samples = [], []
@@ -187,7 +188,8 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
                      float(np.max(np.abs(ens.u - u_at_x))), vmin,
                      float(np.max(np.abs(g_at_x))),
                      diffeomorphism_check(ens)))
-        d = field_diagnostics(u_field.coefficients, grid, config.gamma)
+        d = field_diagnostics(u_field.coefficients, u_field.grid,
+                              config.gamma)
         samples.append(d)
         return min(vmin, d.min_slope), d.sup_abs
 
@@ -215,26 +217,19 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
     times, x, u, v, consistency, min_v, g_sup, diffeo = map(np.array,
                                                             zip(*rows))
     record = SimulationRecord.from_samples(config, times, samples,
-                                           terminated)
+                                           terminated, grids=provider.grids)
     return record, EnsembleTrace(times=times, x=x, u=u, v=v,
                                  consistency=consistency, min_v=min_v,
                                  g_sup=g_sup, diffeo=diffeo)
 
 
 def write_ensemble_csv(trace: EnsembleTrace, path):
-    with open(path, "w") as fh:
-        fh.write("t,xi,X,U,V\n")
-        n_xi = trace.x.shape[1]
-        xi = np.arange(n_xi) / n_xi
-        for i, t in enumerate(trace.times):
-            for j in range(n_xi):
-                fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                         % (t, xi[j], trace.x[i, j], trace.u[i, j],
-                            trace.v[i, j]))
+    n_samples, n_xi = trace.x.shape
+    write_csv(path, "t,xi,X,U,V",
+              [np.repeat(trace.times, n_xi),
+               np.tile(np.arange(n_xi) / n_xi, n_samples), trace.x.ravel(),
+               trace.u.ravel(), trace.v.ravel()])
 
 
 def write_rate_products_csv(products: np.ndarray, path):
-    with open(path, "w") as fh:
-        fh.write("t,p_min,p_max\n")
-        for row in products:
-            fh.write("%.17g,%.17g,%.17g\n" % tuple(row))
+    write_csv(path, "t,p_min,p_max", products.T)

@@ -156,6 +156,7 @@ def _cmd_characteristics(cfg) -> int:
     chars.write_ensemble_csv(trace, out / "ensemble.csv")
     summary = {
         "terminated": record.terminated.value,
+        "grids": record.grids,
         "t_end": float(record.times[-1]),
         "sup_consistency": float(trace.consistency.max()),
         "min_v_vs_grid": float(np.max(np.abs(trace.min_v - record.min_ux))),

@@ -133,7 +133,15 @@ def _epsilon_search(name: str, min_slope: float, gamma: float,
                     beta_coeffs) -> CriterionReport:
     """Maximize margin = -min_slope - (1+eps)*sqrt(gamma*beta(T)) over the
     bound time T, with eps = 2/expm1(2*sqrt(gamma)*T*sqrt(beta(T))) and eps
-    in _EPS_RANGE: a log-T grid, zoomed _ZOOMS times around its maximum."""
+    in _EPS_RANGE: a log-T grid, zoomed _ZOOMS times around its maximum.
+
+    Data whose bound term sqrt(gamma*beta(T)) underflows to 0, because every
+    coefficient of gamma*beta does (zero or subnormal data), is degenerate:
+    the bound says nothing, so the report is unsatisfied at margin -inf.
+    """
+    _check_gamma(gamma)
+    if not any(gamma * b for b in beta_coeffs):
+        return CriterionReport(name, False, -math.inf)
     b0, b1, b2 = beta_coeffs
 
     def eps_and_margin(t):
@@ -155,8 +163,6 @@ def _epsilon_search(name: str, min_slope: float, gamma: float,
 
 
 def characteristics_criterion(d: InitialData, gamma: float) -> CriterionReport:
-    if d.sup_abs == 0.0 and d.l2 == 0.0:
-        return CriterionReport("charac", False, -math.inf)
     return _epsilon_search("charac", d.min_slope, gamma,
                            (d.sup_abs, gamma * d.l2, 0.0))
 

@@ -12,6 +12,19 @@ convention).
 `characteristics.co_evolve` through its field provider.  Both sample with
 `fourier.field_diagnostics`, end on `slope_verdict` and assemble their
 record with `SimulationRecord.from_samples`.
+
+`march` steps on the smallest grid that still resolves the field to
+round-off.  The config's n is the finest rung of a ladder of power-of-two
+grids.  A run starts on the smallest rung m >= min(256, n) whose top eighth
+of modes, and everything the rung drops from the sampled datum, lie within
+1e-13 of the peak mode; it doubles m by exact zero-padding as soon as the
+top eighth of its modes exceeds that level.  The spectrum of an analytic
+field decays exponentially, so the top of the band is where a grid that is
+too coarse shows first (Sulem, Sulem & Frisch, J. Comput. Phys. 50:138,
+1983).  The ladder never shrinks and never passes n, so a run with n <= 256
+never leaves its grid.  Samples are taken on the current rung; snapshots
+and the final field are emitted on the config grid, and the record lists
+every rung with the time the run reached it.
 """
 from __future__ import annotations
 
@@ -24,8 +37,9 @@ import numpy as np
 
 from .errors import InsufficientWindow, NumericalFailure
 from .fourier import (ConservedSet, PeriodicField, PeriodicGrid,
-                      field_diagnostics)
+                      field_diagnostics, resize_coefficients)
 from .initial import InitialData
+from .tables import write_csv
 
 
 class Termination(enum.Enum):
@@ -77,6 +91,7 @@ class SimulationRecord:
     initial_conserved: ConservedSet
     snapshots: dict = field(default_factory=dict)
     final_field: PeriodicField | None = None
+    grids: list = field(default_factory=list)   # (t, n) at each rung reached
 
     @classmethod
     def from_samples(cls, config: SimulationConfig, times: list,
@@ -150,20 +165,56 @@ class SpectralWorkspace:
         return out
 
 
-def march(ws: SpectralWorkspace, coeffs: np.ndarray, dt: float,
-          gamma: float, n_steps: int | None = None, nonlinear: bool = True):
-    """Yield (i, t, coeffs) for the state after RK4 step i = 0, 1, ...,
-    n_steps (without end if n_steps is None), labelled t = i*dt.
+_TAIL = 1e-13   # largest top-of-band mode, relative to the peak mode, that
+                # a rung still counts as resolved to round-off
+_BASE = 256     # the smallest rung of the grid ladder
+
+
+def _resolves(coeffs: np.ndarray, m: int) -> bool:
+    """Whether the modes from 7m/16 up lie within _TAIL of the peak mode:
+    the top eighth of an m-point grid's modes, and on a finer grid also all
+    the modes that the m-point grid drops."""
+    mags = np.abs(coeffs)
+    return mags[7 * m // 16:].max() <= _TAIL * mags.max()
+
+
+def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
+          n_steps: int | None = None, nonlinear: bool = True, *,
+          grids: list):
+    """Yield (i, t, coeffs, rung) for the state after RK4 step i = 0, 1, ...,
+    n_steps (without end if n_steps is None), labelled t = i*dt, with its
+    coefficients on the grid `rung`.
+
+    coeffs are on `grid`, the finest rung of the ladder; the march starts
+    on the smallest rung that resolves them and climbs one rung, by exact
+    zero-padding, after any step that leaves the top eighth of the modes
+    unresolved.  Mode 0 and the Nyquist mode are pinned to zero.  Each rung
+    reached is appended to the caller's list `grids` as (t, n).
 
     Yielded arrays are never modified afterwards.  Raises NumericalFailure
     at the first step whose coefficients are not all finite.
     """
-    yield 0, 0.0, coeffs
+    m = min(_BASE, grid.n)
+    while m < grid.n and not _resolves(coeffs, m):
+        m *= 2
+
+    def climb(t, coeffs, m):
+        grids.append((t, m))
+        out = resize_coefficients(coeffs, m)
+        out[0] = 0.0
+        return SpectralWorkspace(PeriodicGrid(m, grid.length)), out
+
+    ws, coeffs = climb(0.0, coeffs, m)
+    yield 0, 0.0, coeffs, ws.grid
     for i in itertools.count(1) if n_steps is None else range(1, n_steps + 1):
         coeffs = ws.rk4_step(coeffs, dt, gamma, nonlinear)
         if not np.all(np.isfinite(coeffs)):
             raise NumericalFailure(f"non-finite coefficients at step {i}")
-        yield i, i * dt, coeffs
+        if m < grid.n and not _resolves(coeffs, m):
+            # one doubling always suffices: the padded top eighth is zero
+            m *= 2
+            ws, coeffs = climb(i * dt, coeffs, m)
+        yield i, i * dt, coeffs, ws.grid
 
 
 def slope_verdict(config: SimulationConfig, t: float, min_slope: float,
@@ -182,27 +233,30 @@ def slope_verdict(config: SimulationConfig, t: float, min_slope: float,
 def simulate(config: SimulationConfig) -> SimulationRecord:
     """Integrate until the horizon, slope blow-up, or numerical failure.
 
-    Diagnostics are sampled every `stride` steps and at the last step; each
-    sample after t = 0 is judged by `slope_verdict`.  Snapshots are checked
-    after every step and hold the first state within dt/2 of their time.
+    Diagnostics are sampled every `stride` steps and at the last step, on
+    the current rung's grid; each sample after t = 0 is judged by
+    `slope_verdict`.  Snapshots are checked after every step and hold the
+    first state within dt/2 of their time.  Snapshots and the final field
+    are on the config grid.
     """
     grid = PeriodicGrid(config.n)
-    u0 = config.initial.sample(grid)
-    coeffs = u0.coefficients.copy()
-    coeffs[-1] = 0.0
     n_steps = int(round(config.t_max / config.dt))
-    steps = march(SpectralWorkspace(grid), coeffs, config.dt, config.gamma,
-                  n_steps, config.nonlinear)
-    times, samples, snapshots = [], [], {}
+    times, samples, snapshots, grids = [], [], {}, []
+    steps = march(grid, config.initial.sample(grid).coefficients, config.dt,
+                  config.gamma, n_steps, config.nonlinear, grids=grids)
+
+    def on_grid(coeffs):
+        return PeriodicField(grid, coefficients=resize_coefficients(
+            coeffs, config.n))
+
     snap_left = sorted(config.snapshot_times)
     terminated = Termination.Horizon
     try:
-        for i, t, coeffs in steps:
+        for i, t, coeffs, rung in steps:
             while snap_left and t >= snap_left[0] - 0.5 * config.dt:
-                snapshots[snap_left.pop(0)] = PeriodicField(
-                    grid, coefficients=coeffs)
+                snapshots[snap_left.pop(0)] = on_grid(coeffs)
             if i % config.stride == 0 or i == n_steps:
-                d = field_diagnostics(coeffs, grid, config.gamma)
+                d = field_diagnostics(coeffs, rung, config.gamma)
                 times.append(t)
                 samples.append(d)
                 verdict = slope_verdict(config, t, d.min_slope, d.sup_abs)
@@ -213,7 +267,7 @@ def simulate(config: SimulationConfig) -> SimulationRecord:
         terminated = Termination.NumericalFailure
     return SimulationRecord.from_samples(
         config, times, samples, terminated, snapshots=snapshots,
-        final_field=PeriodicField(grid, coefficients=coeffs))
+        final_field=on_grid(coeffs), grids=grids)
 
 
 def estimate_blowup(record: SimulationRecord, fit_start: float = 5.0,
@@ -258,20 +312,13 @@ def estimate_blowup(record: SimulationRecord, fit_start: float = 5.0,
 # emission
 
 def write_timeseries(record: SimulationRecord, path):
-    cols = np.column_stack([record.times, record.min_ux, record.max_ux,
-                            record.sup_abs_u, record.mass_drift,
-                            record.q_drift, record.e_drift])
-    with open(path, "w") as fh:
-        fh.write("t,min_ux,max_ux,sup_u,mass,q_drift,e_drift\n")
-        for row in cols:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    write_csv(path, "t,min_ux,max_ux,sup_u,mass,q_drift,e_drift",
+              [record.times, record.min_ux, record.max_ux, record.sup_abs_u,
+               record.mass_drift, record.q_drift, record.e_drift])
 
 
 def write_snapshot(f: PeriodicField, path):
-    with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for x, u in zip(f.grid.x, f.values):
-            fh.write("%.17g,%.17g\n" % (x, u))
+    write_csv(path, "x,u", [f.grid.x, f.values])
 
 
 def run_summary(record: SimulationRecord,
@@ -279,6 +326,7 @@ def run_summary(record: SimulationRecord,
     out = {
         "config": record.config.summary(),
         "terminated": record.terminated.value,
+        "grids": record.grids,
         "blowup": None,
     }
     if est is not None:

@@ -56,6 +56,22 @@ class PeriodicGrid:
         return m
 
 
+def resize_coefficients(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """The rfft coefficients of an n-point grid moved to an m-point grid,
+    both powers of two: modes above min(n, m)/2 are dropped or zero-padded,
+    the rest scaled by m/n, and the Nyquist mode is zero.
+
+    Padding is exact: the interpolant, and so mass, Q and E, are unchanged.
+    Truncation drops what lies above the smaller band.  The Nyquist mode is
+    pinned to zero throughout this package, so dropping it loses nothing.
+    """
+    n = 2 * (len(coeffs) - 1)
+    k = min(n, m) // 2
+    out = np.zeros(m // 2 + 1, dtype=complex)
+    out[:k] = coeffs[:k] * (m / n)
+    return out
+
+
 class PeriodicField:
     """Real samples on a PeriodicGrid plus their rfft coefficients.
 
@@ -112,12 +128,7 @@ class PeriodicField:
             return self.values.copy()
         if m < n or m & (m - 1) != 0:
             raise ValueError("resample target must be a power of two >= n")
-        padded = np.zeros(m // 2 + 1, dtype=complex)
-        padded[: n // 2 + 1] = self.coefficients
-        # Splitting the Nyquist coefficient between +n/2 and -n/2 would be the
-        # symmetric choice; it is zero everywhere in this package, so padding
-        # as-is is exact.
-        return np.fft.irfft(padded * (m / n))
+        return np.fft.irfft(resize_coefficients(self.coefficients, m))
 
     def evaluate(self, points) -> np.ndarray:
         """Trigonometric interpolant at arbitrary points (vectorized).

@@ -17,6 +17,7 @@ from .errors import InsufficientWindow
 from .evolution import (SimulationConfig, Termination, estimate_blowup,
                         simulate)
 from .initial import two_mode_quantities
+from .tables import write_csv
 
 
 @dataclass(frozen=True)
@@ -105,25 +106,23 @@ def scan(config: ScanConfig) -> ScanResult:
     return ScanResult(config=config, rows=rows)
 
 
+def _columns(result: ScanResult, names: str) -> list:
+    return [[r[k] for r in result.rows] for k in names.split(",")]
+
+
 def write_region_csv(result: ScanResult, path):
     """Criteria verdict map: a,b,hunter,cond1,cond2,charac,margin_charac."""
-    with open(path, "w") as fh:
-        fh.write("a,b,hunter,cond1,cond2,charac,margin_charac\n")
-        for r in result.rows:
-            fh.write("%.17g,%.17g,%d,%d,%d,%d,%.17g\n"
-                     % (r["a"], r["b"], r["hunter"], r["cond1"], r["cond2"],
-                        r["charac"], r["margin_charac"]))
+    header = "a,b,hunter,cond1,cond2,charac,margin_charac"
+    write_csv(path, header, _columns(result, header),
+              "%.17g,%.17g,%d,%d,%d,%d,%.17g")
 
 
 def write_simulation_csv(result: ScanResult, path):
     """Verdicts plus per-point blow-up estimates:
     a,b,hunter,cond1,cond2,charac,T_est,C_est,terminated."""
-    with open(path, "w") as fh:
-        fh.write("a,b,hunter,cond1,cond2,charac,T_est,C_est,terminated\n")
-        for r in result.rows:
-            fh.write("%.17g,%.17g,%d,%d,%d,%d,%.17g,%.17g,%s\n"
-                     % (r["a"], r["b"], r["hunter"], r["cond1"], r["cond2"],
-                        r["charac"], r["T_est"], r["C_est"], r["terminated"]))
+    header = "a,b,hunter,cond1,cond2,charac,T_est,C_est,terminated"
+    write_csv(path, header, _columns(result, header),
+              "%.17g,%.17g,%d,%d,%d,%d,%.17g,%.17g,%s")
 
 
 def region_ordering_violations(result: ScanResult) -> list:

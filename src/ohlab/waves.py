@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
+from .tables import write_csv
 
 CREST_SPEED_RATIO = math.pi ** 2 / 9.0
 CORNER_COEFFICIENT = 1.0 / 18.0
@@ -264,15 +265,11 @@ def continuation_branch(gamma: float, speed_ratios, n: int = 512):
 
 
 def write_profile_csv(w: WaveProfile, path):
-    with open(path, "w") as fh:
-        fh.write("x,phi\n")
-        for x, p in zip(w.x, w.phi):
-            fh.write("%.17g,%.17g\n" % (x, p))
+    write_csv(path, "x,phi", [w.x, w.phi])
 
 
 def write_branch_csv(profiles, path):
-    with open(path, "w") as fh:
-        fh.write("c_over_gamma,amplitude,residual\n")
-        for w in profiles:
-            fh.write("%.17g,%.17g,%.17g\n"
-                     % (w.c / w.gamma, w.amplitude, ode_residual(w)))
+    write_csv(path, "c_over_gamma,amplitude,residual",
+              [[w.c / w.gamma for w in profiles],
+               [w.amplitude for w in profiles],
+               [ode_residual(w) for w in profiles]])

@@ -7,7 +7,7 @@ from ohlab.characteristics import (CharacteristicEnsemble, CoSteppingProvider,
                                    write_rate_products_csv)
 from ohlab.errors import NonZeroMean, ProviderGap
 from ohlab.evolution import (BlowupEstimate, SimulationConfig,
-                             SimulationRecord, Termination)
+                             SimulationRecord, SpectralWorkspace, Termination)
 from ohlab.fourier import PeriodicField, PeriodicGrid, conserved_quantities
 from ohlab.initial import two_mode_quantities
 
@@ -74,6 +74,24 @@ class TestProvider:
         provider.advance_to(4)
         u, g = provider.fields_at(1.0)   # idx 2 = index - 2: still cached
         assert np.all(u.values == 0.0) and np.all(g.values == 0.0)
+
+    def test_rides_the_grid_ladder(self):
+        # a = 0.5 steepens fast: by t = 0.25 the field needs more than the
+        # starting rung, and each stored field is on its own rung's grid
+        grid = PeriodicGrid(1024)
+        u0 = two_mode_quantities(0.5, 0.0).sample(grid)
+        provider = CoSteppingProvider(u0, 1.0, 5e-4)
+        provider.advance_to(500)
+        assert provider.grids[0] == (0.0, 256) and len(provider.grids) >= 2
+        u, g = provider.fields_at(0.25)
+        assert u.grid.n == g.grid.n == provider.grids[-1][1]
+        ws = SpectralWorkspace(grid)
+        c = u0.coefficients.copy()
+        for _ in range(500):
+            c = ws.rk4_step(c, 5e-4, 1.0)
+        x = np.linspace(0.0, 1.0, 97)
+        fixed = PeriodicField(grid, coefficients=c)
+        assert np.max(np.abs(u.evaluate(x) - fixed.evaluate(x))) <= 1e-13
 
 
 class TestDiffeomorphismCheck:
@@ -146,6 +164,12 @@ class TestCoEvolvedRun:
     def test_diffeomorphism_throughout(self, coevolved):
         _, trace = coevolved
         assert bool(trace.diffeo.all())
+
+    def test_grid_history_recorded(self, coevolved):
+        record, _ = coevolved
+        times, sizes = zip(*record.grids)
+        assert times[0] == 0.0 and sizes[0] == 256
+        assert all(np.diff(times) > 0) and sizes[-1] <= record.config.n
 
     def test_sample_times_align(self, coevolved):
         record, trace = coevolved

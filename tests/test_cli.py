@@ -193,6 +193,8 @@ class TestSimulateCommand:
         summary = json.loads(out)
         assert summary["terminated"] == "SlopeBlowup"
         assert summary["blowup"]["C"] == pytest.approx(-1.0, abs=0.2)
+        assert summary["grids"][0] == [0.0, 256]
+        assert summary["grids"][-1][1] == 512
         for name in ("timeseries.csv", "summary.json", "rate_products.csv",
                      "snapshot_t0.5.csv", "plot_timeseries.py",
                      "plot_rate_products.py"):
@@ -212,6 +214,7 @@ class TestCharacteristicsCommand:
         assert summary["diffeomorphism"] is True
         assert summary["sup_consistency"] < 1e-6
         assert 0.0 <= summary["min_v_vs_grid"] < 1e-3
+        assert summary["grids"] == [[0.0, 256]]
         assert (tmp_path / "ensemble.csv").exists()
 
     def test_breaking_data_exits_zero(self, tmp_path, capsys):

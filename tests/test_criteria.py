@@ -193,6 +193,15 @@ class TestCharacteristicsCriterion:
         r = characteristics_criterion(two_mode_quantities(0.0, 0.0), 1.0)
         assert not r.satisfied and r.margin == -math.inf
 
+    def test_subnormal_data_is_degenerate(self):
+        # l2 underflows to 0 and gamma*sup|u0| to 0, so the bound term
+        # vanishes and only -min u0' = 9.4e-323 would be left as a margin
+        d = two_mode_quantities(5e-324, 5e-324)
+        assert d.l2 == 0.0 and 0.25 * d.sup_abs == 0.0
+        r = characteristics_criterion(d, 0.25)
+        assert not r.satisfied and r.margin == -math.inf
+        assert r.time_bound is None
+
     @settings(max_examples=40)
     @given(st.floats(0.0, 5.0), st.floats(0.0, 5.0),
            st.floats(0.25, 4.0))

@@ -6,7 +6,8 @@ from ohlab.errors import InsufficientWindow
 from ohlab.evolution import (SimulationConfig, SimulationRecord,
                              SpectralWorkspace, Termination, estimate_blowup,
                              run_summary, simulate, write_timeseries)
-from ohlab.fourier import PeriodicField, PeriodicGrid, conserved_quantities
+from ohlab.fourier import (PeriodicField, PeriodicGrid, conserved_quantities,
+                          field_diagnostics, resize_coefficients)
 from ohlab.initial import sampled_data, two_mode_quantities
 
 TWO_PI = 2.0 * np.pi
@@ -101,6 +102,75 @@ class TestNonlinearTerm:
         w[0] = w[-1] = 1.0
         terms = w * np.conj(c) * rhs
         assert abs(np.sum(terms).real) <= 1e-13 * np.sum(np.abs(terms))
+
+
+def fixed_grid_run(cfg, n_steps):
+    """The reference: RK4 steps on the config grid alone, no ladder."""
+    grid = PeriodicGrid(cfg.n)
+    ws = SpectralWorkspace(grid)
+    c = cfg.initial.sample(grid).coefficients.copy()
+    c[-1] = 0.0
+    for _ in range(n_steps):
+        c = ws.rk4_step(c, cfg.dt, cfg.gamma)
+    return PeriodicField(grid, coefficients=c)
+
+
+class TestGridLadder:
+    @pytest.fixture(scope="class")
+    def case1_to_2_8(self):
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=2048,
+                               dt=1e-3, t_max=2.8, stride=100,
+                               snapshot_times=(2.0,))
+        return simulate(cfg), fixed_grid_run(cfg, 2800)
+
+    def test_climbs_and_matches_fixed_grid(self, case1_to_2_8):
+        rec, fixed = case1_to_2_8
+        assert rec.terminated is Termination.Horizon
+        assert len(rec.grids) >= 3          # start rung plus >= 2 climbs
+        err = np.max(np.abs(rec.final_field.values - fixed.values))
+        assert err <= 1e-13
+
+    def test_history_only_grows_and_ends_within_config_grid(self,
+                                                            case1_to_2_8):
+        rec, _ = case1_to_2_8
+        times, sizes = zip(*rec.grids)
+        assert times[0] == 0.0 and sizes[0] == 256
+        assert all(np.diff(times) > 0) and all(np.diff(sizes) > 0)
+        assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
+        assert sizes[-1] <= rec.config.n
+        assert times[-1] <= rec.times[-1]
+
+    def test_snapshot_and_final_field_on_config_grid(self, case1_to_2_8):
+        rec, _ = case1_to_2_8
+        # at t = 2 the run still steps on 256 points
+        assert max(n for t, n in rec.grids if t <= 2.0) == 256
+        for f in (rec.snapshots[2.0], rec.final_field):
+            assert f.grid == PeriodicGrid(2048)
+            assert f.values.shape == (2048,)
+            assert f.coefficients[-1] == 0.0
+
+    def test_small_grid_run_is_the_fixed_grid_run(self):
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=256,
+                               dt=1e-3, t_max=0.5)
+        rec = simulate(cfg)
+        assert rec.grids == [(0.0, 256)]
+        fixed = fixed_grid_run(cfg, 500)
+        assert np.array_equal(rec.final_field.coefficients,
+                              fixed.coefficients)
+
+    @pytest.mark.parametrize("n,m", [(256, 512), (256, 8192), (1024, 2048)])
+    def test_padding_keeps_invariants(self, n, m):
+        c = TestNonlinearTerm.random_coeffs(n, seed=m)
+        padded = resize_coefficients(c, m)
+        assert padded.shape == (m // 2 + 1,) and padded[-1] == 0.0
+        before = field_diagnostics(c, PeriodicGrid(n), 1.0)
+        after = field_diagnostics(padded, PeriodicGrid(m), 1.0)
+        assert after.mass == before.mass == 0.0
+        assert after.q == pytest.approx(before.q, rel=1e-14)
+        assert after.e == pytest.approx(before.e, rel=1e-12, abs=1e-14)
+        # and back down: the padded modes are exactly zero
+        assert np.allclose(resize_coefficients(padded, n), c, rtol=1e-15,
+                           atol=0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -233,6 +303,19 @@ class TestEmission:
                                     "q_drift", "e_drift")
         assert np.allclose(data["min_ux"], case1_smoke_run.min_ux)
 
+    def test_timeseries_bytes_match_row_loop(self, tmp_path,
+                                             case1_smoke_run):
+        # the reference: one "%.17g" per value, joined row by row
+        rec = case1_smoke_run
+        p = tmp_path / "ts.csv"
+        write_timeseries(rec, p)
+        cols = np.column_stack([rec.times, rec.min_ux, rec.max_ux,
+                                rec.sup_abs_u, rec.mass_drift, rec.q_drift,
+                                rec.e_drift])
+        expect = "t,min_ux,max_ux,sup_u,mass,q_drift,e_drift\n" + "".join(
+            ",".join("%.17g" % v for v in row) + "\n" for row in cols)
+        assert p.read_text() == expect
+
     def test_summary_shape(self, case1_smoke_run):
         est = estimate_blowup(case1_smoke_run)
         s = run_summary(case1_smoke_run, est)
@@ -240,3 +323,6 @@ class TestEmission:
         assert s["blowup"]["T"] == pytest.approx(-est.b / est.c)
         assert s["config"]["initial"] == {"a": 0.05, "b": 0.0,
                                           "kind": "two_mode"}
+        assert s["grids"] == case1_smoke_run.grids
+        assert s["grids"][0] == (0.0, 256)
+        assert s["grids"][-1][1] == case1_smoke_run.config.n
