@@ -7,13 +7,14 @@ consistency checks) spectrally at off-grid positions.  Positions are kept
 unwrapped: the trigonometric interpolant is periodic anyway, and unwrapped
 positions are what make the monotonicity-in-xi diagnostic meaningful.
 
-The PDE behind the ensemble is `evolution.march`, pulled half-step by
-half-step by `CoSteppingProvider`, so it climbs the same grid ladder as
-`simulate`: each stored field, and each grid sample, is on the rung its
-state was stepped on, and the record lists the rungs.  Off-grid evaluation
-does not care which rung a field is on.  `co_evolve` checks min V against
-stop_slope after every ensemble step and ends the run with the same
-`slope_verdict` as `simulate`.
+The PDE behind the ensemble is `evolution.march` at the ensemble's own step
+dt, pulled one step per ensemble step by `CoSteppingProvider`, so it takes
+the steps of `simulate` and climbs the same grid ladder.  The ensemble's
+mid-step RK4 stages take G from the cubic Hermite interpolant of the step's
+two ends (Hairer, Norsett & Wanner, Solving ODEs I, II.6), fourth-order in
+dt like the RK4 step.  `co_evolve` checks min V against stop_slope after
+every ensemble step and ends the run with the same `slope_verdict` as
+`simulate`.
 """
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonZeroMean, NumericalFailure, ProviderGap
+from .errors import NonZeroMean, NumericalFailure
 from .evolution import (BlowupEstimate, SimulationConfig, SimulationRecord,
-                        Termination, march, slope_verdict)
-from .fourier import (PeriodicField, PeriodicGrid, antiderivative_zero_mean,
-                      field_diagnostics, mass_tolerance, parabolic_minmax,
+                        SpectralWorkspace, Termination, march, slope_verdict)
+from .fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
+                      mass_tolerance, parabolic_minmax, resize_coefficients,
                       spectral_derivative)
 from .tables import write_csv
 
@@ -49,68 +50,66 @@ def seed(u0: PeriodicField, n_xi: int) -> CharacteristicEnsemble:
 
 
 class CoSteppingProvider:
-    """Supplies u(t,.) and G(t,.) on the half-step lattice of the PDE run.
+    """Supplies u and G = dx^-1 u over one PDE step at a time.
 
-    The PDE is advanced with a sub-step of half the ensemble step so that all
-    RK4 stage times of the ensemble land exactly on the lattice.  Fields are
-    cached, each on its own rung's grid, for the current lattice
-    neighborhood only; `grids` is the march's rung history.
+    The PDE marches at the ensemble's step dt.  After `advance_to(i)`, `u`
+    is the state after step i, labelled t = i*dt, and `g` holds G at the
+    start, the midpoint and the end of step i, on the rung of its end;
+    `grids` is the march's rung history.  The midpoint is the cubic Hermite
+    interpolant of the ends, (g0 + g1)/2 + dt/8 (g0' - g1') with
+    g' = dx^-1 u_t; a rung climb inside the step first zero-pads the start,
+    which is exact.  The march pins mode 0, so G is the coefficients times
+    the antiderivative multiplier.
     """
 
-    def __init__(self, u0: PeriodicField, gamma: float, dt_sub: float):
-        self.dt_sub = dt_sub
-        self.grids = []
-        self._steps = march(u0.grid, u0.coefficients, dt_sub, gamma,
+    def __init__(self, u0: PeriodicField, gamma: float, dt: float):
+        self.gamma, self.dt, self.grids = gamma, dt, []
+        self._steps = march(u0.grid, u0.coefficients, dt, gamma,
                             grids=self.grids)
-        self._cache: dict[int, tuple[PeriodicField, PeriodicField]] = {}
-        self._pull()
+        self._end = self._pull()
+        self.g = [PeriodicField(self.u.grid, coefficients=self._end[0])] * 3
 
-    def _pull(self):
-        self._index, _, coeffs, rung = next(self._steps)
-        u = PeriodicField(rung, coefficients=coeffs)
-        self._cache[self._index] = (u, antiderivative_zero_mean(u))
-        # two lattice points of history cover all stage times of one step
-        for stale in [k for k in self._cache if k < self._index - 2]:
-            del self._cache[stale]
+    def _pull(self) -> tuple[np.ndarray, np.ndarray]:
+        self.i, self.t, c, rung = next(self._steps)
+        self.u = PeriodicField(rung, coefficients=c)
+        a = rung.antideriv_multiplier
+        return c * a, SpectralWorkspace(rung).rhs(c, self.gamma) * a
 
-    def advance_to(self, idx: int):
-        """Pull half-steps from the march up to lattice index idx; raises
-        NumericalFailure if the PDE coefficients stop being finite."""
-        while self._index < idx:
-            self._pull()
-
-    def fields_at(self, t: float) -> tuple[PeriodicField, PeriodicField]:
-        idx = t / self.dt_sub
-        nearest = int(round(idx))
-        if abs(idx - nearest) > 1e-9 * max(1.0, abs(idx)):
-            raise ProviderGap(f"time {t} is off the sub-step lattice")
-        if nearest > self._index:
-            self.advance_to(nearest)
-        if nearest not in self._cache:
-            raise ProviderGap(f"time {t} is behind the provider window")
-        return self._cache[nearest]
+    def advance_to(self, i: int):
+        """Pull march steps up to step i; raises NumericalFailure if the PDE
+        coefficients stop being finite."""
+        while self.i < i:
+            g0, d0 = self._end
+            self._end = g1, d1 = self._pull()
+            if len(g0) < len(g1):
+                g0, d0 = (resize_coefficients(c, self.u.grid.n)
+                          for c in (g0, d0))
+            mid = 0.5 * (g0 + g1) + (0.125 * self.dt) * (d0 - d1)
+            self.g = [PeriodicField(self.u.grid, coefficients=c)
+                      for c in (g0, mid, g1)]
 
 
-def advance(ens: CharacteristicEnsemble, provider, dt: float,
-            gamma: float) -> CharacteristicEnsemble:
-    """One RK4 step of the characteristic system against a field provider."""
+def advance(ens: CharacteristicEnsemble,
+            provider: CoSteppingProvider) -> CharacteristicEnsemble:
+    """One RK4 step of the characteristic system over the provider's next
+    PDE step, with the provider's dt and gamma."""
+    provider.advance_to(provider.i + 1)
+    g0, g_mid, g1 = provider.g
+    h, gamma = provider.dt, provider.gamma
 
-    def slope(t, x, u, v):
-        _, g = provider.fields_at(t)
+    def slope(g, x, u, v):
         return u, gamma * g.evaluate(x), -v * v + gamma * u
 
-    t, h = ens.t, dt
-    k1 = slope(t, ens.x, ens.u, ens.v)
-    k2 = slope(t + 0.5 * h, ens.x + 0.5 * h * k1[0], ens.u + 0.5 * h * k1[1],
+    k1 = slope(g0, ens.x, ens.u, ens.v)
+    k2 = slope(g_mid, ens.x + 0.5 * h * k1[0], ens.u + 0.5 * h * k1[1],
                ens.v + 0.5 * h * k1[2])
-    k3 = slope(t + 0.5 * h, ens.x + 0.5 * h * k2[0], ens.u + 0.5 * h * k2[1],
+    k3 = slope(g_mid, ens.x + 0.5 * h * k2[0], ens.u + 0.5 * h * k2[1],
                ens.v + 0.5 * h * k2[2])
-    k4 = slope(t + h, ens.x + h * k3[0], ens.u + h * k3[1],
-               ens.v + h * k3[2])
+    k4 = slope(g1, ens.x + h * k3[0], ens.u + h * k3[1], ens.v + h * k3[2])
     x = ens.x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     u = ens.u + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     v = ens.v + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return CharacteristicEnsemble(xi=ens.xi, x=x, u=u, v=v, t=t + h)
+    return CharacteristicEnsemble(xi=ens.xi, x=x, u=u, v=v, t=provider.t)
 
 
 def diffeomorphism_check(ens: CharacteristicEnsemble) -> bool:
@@ -152,13 +151,14 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
               sample_stride: int = 10) -> tuple[SimulationRecord, EnsembleTrace]:
     """Run the PDE and an ensemble side by side.
 
-    The PDE marches at config.dt/2 (so ensemble RK4 stages are on the
-    lattice); the ensemble marches at config.dt, step i labelled t = i*dt.
-    Diagnostics are recorded every sample_stride ensemble steps, at the last
-    step, and at the step where min V first reaches stop_slope.  Each sample
-    is judged by `slope_verdict` on the steeper of min V and the grid's
-    min u_x.  The returned SimulationRecord is recorded on the same sample
-    times.
+    The PDE and the ensemble both march at config.dt, one PDE step per
+    ensemble step, step i labelled t = i*dt.  Diagnostics are recorded
+    every sample_stride ensemble steps, at the last step, and at the step
+    where min V first reaches stop_slope.  Each sample is judged by
+    `slope_verdict` on the steeper of min V and the grid's min u_x.  The
+    returned SimulationRecord is recorded on the same sample times; the PDE
+    takes the steps of `simulate`, so it equals simulate's record with
+    stride = sample_stride on the samples both take.
 
     Raises ValueError for config fields it cannot honour: nonlinear=False
     (V' = -V^2 + gamma*U holds only for the nonlinear equation), stride != 1
@@ -175,14 +175,14 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
     if n_xi < 1 or sample_stride < 1:
         raise ValueError("n_xi and sample_stride must be >= 1")
     u0 = config.initial.sample(PeriodicGrid(config.n))
-    provider = CoSteppingProvider(u0, config.gamma, 0.5 * config.dt)
+    provider = CoSteppingProvider(u0, config.gamma, config.dt)
     ens = seed(u0, n_xi)
     rows, samples = [], []
 
     def sample(ens, t):
-        u_field, g_field = provider.fields_at(t)
+        u_field = provider.u
         u_at_x = u_field.evaluate(ens.x)
-        g_at_x = g_field.evaluate(ens.x)
+        g_at_x = provider.g[2].evaluate(ens.x)
         vmin = parabolic_minmax(ens.v)[0]
         rows.append((t, ens.x, ens.u, ens.v,
                      float(np.max(np.abs(ens.u - u_at_x))), vmin,
@@ -198,7 +198,7 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
     terminated = Termination.Horizon
     for i in range(1, n_steps + 1):
         try:
-            ens = advance(ens, provider, config.dt, config.gamma)
+            ens = advance(ens, provider)
         except NumericalFailure:
             terminated = Termination.NumericalFailure
             break

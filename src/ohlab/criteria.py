@@ -214,7 +214,7 @@ def line_criterion(data: LineData, gamma: float) -> CriterionReport:
 
 def all_reports(d: InitialData, gamma: float) -> dict[str, CriterionReport]:
     """The four periodic-domain criteria; the gamma = 1 criterion reports
-    unsatisfied with zero margin when gamma != 1 rather than raising."""
+    unsatisfied with margin -inf when gamma != 1 rather than raising."""
     try:
         hunter = hunter_criterion(d, gamma)
     except NotApplicable:

@@ -34,9 +34,5 @@ class TailTooLarge(OhlabError):
     """Line data does not decay at the truncation boundaries."""
 
 
-class ProviderGap(OhlabError):
-    """Field provider cannot supply a required stage time."""
-
-
 class NoConvergence(OhlabError):
     """Newton iteration failed to converge within the step-halving budget."""

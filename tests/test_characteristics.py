@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,12 @@ from ohlab.characteristics import (CharacteristicEnsemble, CoSteppingProvider,
                                    advance, co_evolve, diffeomorphism_check,
                                    rate_products, seed, write_ensemble_csv,
                                    write_rate_products_csv)
-from ohlab.errors import NonZeroMean, ProviderGap
+from ohlab.errors import NonZeroMean
 from ohlab.evolution import (BlowupEstimate, SimulationConfig,
-                             SimulationRecord, SpectralWorkspace, Termination)
-from ohlab.fourier import PeriodicField, PeriodicGrid, conserved_quantities
+                             SimulationRecord, SpectralWorkspace, Termination,
+                             simulate)
+from ohlab.fourier import (PeriodicField, PeriodicGrid, conserved_quantities,
+                           resize_coefficients)
 from ohlab.initial import two_mode_quantities
 
 TWO_PI = 2.0 * np.pi
@@ -43,13 +47,13 @@ class TestRiccatiLimit:
     def test_pure_riccati_on_zero_field(self):
         # u = 0 solves the PDE, so V' = -V^2 exactly: V(t) = v0/(1 + v0 t)
         dt = 1e-3
-        provider = CoSteppingProvider(zero_field(), 1.0, 0.5 * dt)
+        provider = CoSteppingProvider(zero_field(), 1.0, dt)
         v0 = np.array([1.0, 2.0, -0.25])
         ens = CharacteristicEnsemble(
             xi=np.array([0.0, 0.25, 0.5]), x=np.array([0.0, 0.25, 0.5]),
             u=np.zeros(3), v=v0.copy(), t=0.0)
         for _ in range(1000):
-            ens = advance(ens, provider, dt, 1.0)
+            ens = advance(ens, provider)
         expect = v0 / (1.0 + v0 * ens.t)
         assert ens.t == pytest.approx(1.0)
         assert np.max(np.abs(ens.v - expect)) < 1e-11
@@ -58,40 +62,62 @@ class TestRiccatiLimit:
 
 
 class TestProvider:
-    def test_off_lattice_time_rejected(self):
-        provider = CoSteppingProvider(zero_field(), 1.0, 0.5)
-        with pytest.raises(ProviderGap):
-            provider.fields_at(0.3)
-
-    def test_stale_time_rejected(self):
-        provider = CoSteppingProvider(zero_field(), 1.0, 0.5)
-        provider.advance_to(10)
-        with pytest.raises(ProviderGap):
-            provider.fields_at(0.0)
-
-    def test_recent_history_kept(self):
-        provider = CoSteppingProvider(zero_field(), 1.0, 0.5)
-        provider.advance_to(4)
-        u, g = provider.fields_at(1.0)   # idx 2 = index - 2: still cached
-        assert np.all(u.values == 0.0) and np.all(g.values == 0.0)
-
     def test_rides_the_grid_ladder(self):
         # a = 0.5 steepens fast: by t = 0.25 the field needs more than the
-        # starting rung, and each stored field is on its own rung's grid
+        # starting rung, and the fields are on the current rung's grid
         grid = PeriodicGrid(1024)
         u0 = two_mode_quantities(0.5, 0.0).sample(grid)
         provider = CoSteppingProvider(u0, 1.0, 5e-4)
         provider.advance_to(500)
         assert provider.grids[0] == (0.0, 256) and len(provider.grids) >= 2
-        u, g = provider.fields_at(0.25)
-        assert u.grid.n == g.grid.n == provider.grids[-1][1]
+        assert provider.t == 0.25
+        assert all(f.grid.n == provider.grids[-1][1]
+                   for f in (provider.u, *provider.g))
         ws = SpectralWorkspace(grid)
         c = u0.coefficients.copy()
         for _ in range(500):
             c = ws.rk4_step(c, 5e-4, 1.0)
         x = np.linspace(0.0, 1.0, 97)
         fixed = PeriodicField(grid, coefficients=c)
-        assert np.max(np.abs(u.evaluate(x) - fixed.evaluate(x))) <= 1e-13
+        assert np.max(np.abs(provider.u.evaluate(x)
+                             - fixed.evaluate(x))) <= 1e-13
+
+    @staticmethod
+    def midpoint_error(dt):
+        """sup|G| error of the Hermite midpoint over the step that climbs
+        the first rung, against a dt/2 RK4 step on the fixed 1024 grid."""
+        grid = PeriodicGrid(1024)
+        provider = CoSteppingProvider(
+            two_mode_quantities(0.5, 0.0).sample(grid), 1.0, dt)
+        while len(provider.grids) < 2:
+            start = provider.u
+            provider.advance_to(provider.i + 1)
+        assert start.grid.n < provider.u.grid.n   # the step crosses a climb
+        c = resize_coefficients(start.coefficients, grid.n)
+        c = SpectralWorkspace(grid).rk4_step(c, 0.5 * dt, 1.0)
+        exact = PeriodicField(grid, coefficients=c * grid.antideriv_multiplier)
+        mid = PeriodicField(grid, coefficients=resize_coefficients(
+            provider.g[1].coefficients, grid.n))
+        return float(np.max(np.abs(mid.values - exact.values)))
+
+    def test_hermite_midpoint_is_fourth_order(self):
+        fine, coarse = self.midpoint_error(1e-3), self.midpoint_error(2e-3)
+        assert fine <= 1e-12
+        assert coarse >= 12.0 * fine
+
+    def test_one_pde_step_per_ensemble_step(self, monkeypatch):
+        steps = []
+        rk4_step = SpectralWorkspace.rk4_step
+
+        def counted(ws, coeffs, dt, *args):
+            steps.append(dt)
+            return rk4_step(ws, coeffs, dt, *args)
+
+        monkeypatch.setattr(SpectralWorkspace, "rk4_step", counted)
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64,
+                               dt=1e-2, t_max=0.2)
+        co_evolve(cfg, n_xi=8)
+        assert steps == [1e-2] * 20
 
 
 class TestDiffeomorphismCheck:
@@ -190,6 +216,31 @@ class TestCoEvolvedRun:
             n_rows = sum(1 for _ in fh)
         assert header == "t,xi,X,U,V"
         assert n_rows == trace.x.size
+
+
+class TestMatchesSimulate:
+    # the provider steps the PDE exactly as simulate does, so co_evolve's
+    # record is simulate's at stride = sample_stride, bit for bit, on the
+    # samples both take; at a = 0.05 min V reaches stop_slope first, so
+    # co_evolve stops between simulate's samples
+    @pytest.mark.parametrize("a, t_max, stop_slope, n_shared, ends", [
+        (0.005, 1.0, -200.0, 101, Termination.Horizon),
+        (0.05, 5.0, -30.0, 318, Termination.SlopeBlowup)])
+    def test_record_equals_simulate(self, a, t_max, stop_slope, n_shared,
+                                    ends):
+        cfg = SimulationConfig(two_mode_quantities(a, 0.0), n=1024, dt=1e-3,
+                               t_max=t_max, stop_slope=stop_slope)
+        co, _ = co_evolve(cfg, n_xi=32, sample_stride=10)
+        sim = simulate(dataclasses.replace(cfg, stride=10))
+        assert co.terminated is ends
+        shared = np.intersect1d(co.times, sim.times)
+        assert len(shared) == n_shared
+        on_co, on_sim = np.isin(co.times, shared), np.isin(sim.times, shared)
+        for name in ("times", "min_ux", "max_ux", "sup_abs_u", "q_drift",
+                     "e_drift"):
+            assert np.array_equal(getattr(co, name)[on_co],
+                                  getattr(sim, name)[on_sim]), name
+        assert co.grids == [g for g in sim.grids if g[0] <= co.times[-1]]
 
 
 class TestBreakingEnsemble:
