@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view as windows
 
 from .errors import NoConvergence
 from .tables import write_csv
@@ -96,43 +97,48 @@ class _NormalizedSolver:
     """Newton-Fourier solver for the normalized wave equation.
 
     Unknowns are the cosine coefficients a_1..a_K of psi (even gauge, zero
-    mean), K = n/2 - 1.  Residual and Jacobian are evaluated on a doubled
-    grid so the quadratic products are alias-free, then Galerkin-projected
-    onto cosine modes 1..K.  The residual's mode 0 vanishes identically
-    ((c - psi) psi'' - (psi')^2 + psi integrates to zero for any periodic
-    psi), so the projected system is square.
+    mean), K = n/2 - 1.  Inverse FFTs give psi, psi', psi'' on the grid of
+    m = 2n points from -pi (DFT mode p carries (-1)^p), where the quadratic
+    residual is alias-free; one FFT projects it onto cos jx, j = 1..K.  Its
+    mode 0 vanishes ((s - psi) psi'' - psi'^2 = ((s - psi) psi')' and psi has
+    zero mean), so the projected system is square.
+
+    Column k of the Jacobian projects (G - k^2 F) cos kx + 2k H sin kx, with
+    F = s - psi, G = 1 - psi'', H = psi', whose cosine, cosine and sine
+    coefficients F_p = (2s, -a_p), G_p = (2, p^2 a_p), H_p = (0, -p a_p),
+    p = 0..K, extend to p < 0 as even, even and odd.  Product to sum, exact
+    on the m grid since every product stays below mode 3K < m, gives
+        J[j,k] = (E_(k-j) + E_(k+j)) / 2,   E_p = G_p - k^2 F_p + 2k H_p:
+    Toeplitz plus Hankel, O(K^2) to assemble and on no grid.
     """
 
     def __init__(self, n: int = 256):
         self.n = n
         self.k = np.arange(1, n // 2)         # retained modes
-        m = 2 * n
-        self.m = m
-        x = _grid(m)
-        kx = np.outer(self.k, x)              # (K, m)
-        self.cos_kx = np.cos(kx)
-        self.sin_kx = np.sin(kx)
-        self.project = self.cos_kx * (2.0 / m)   # Galerkin weights
+        self.sign = np.where(self.k % 2 == 0, 1.0, -1.0)
+        self.synth = n * self.sign * np.array(   # (m/2) (-1)^k (1, ik, -k^2)
+            [self.k ** 0, 1j * self.k, -self.k ** 2])
 
-    def _fields(self, a: np.ndarray):
-        psi = a @ self.cos_kx
-        dpsi = -(a * self.k) @ self.sin_kx
-        d2psi = -(a * self.k ** 2) @ self.cos_kx
-        return psi, dpsi, d2psi
+    def _fields(self, a: np.ndarray) -> np.ndarray:
+        """psi, psi', psi'' on the m grid, as the rows of a (3, m) array."""
+        spec = self.synth * a                  # modes 1..K; mode 0 is zero
+        return np.fft.irfft(np.hstack((np.zeros((3, 1)), spec)), 2 * self.n)
 
     def residual(self, a: np.ndarray, s: float):
         psi, dpsi, d2psi = self._fields(a)
         r = (s - psi) * d2psi - dpsi * dpsi + psi
-        return self.project @ r, float(np.max(np.abs(r)))
+        proj = np.fft.rfft(r)[1:len(a) + 1].real / self.n   # 2/m = 1/n
+        return self.sign * proj, float(np.max(np.abs(r)))
 
     def jacobian(self, a: np.ndarray, s: float) -> np.ndarray:
-        psi, dpsi, d2psi = self._fields(a)
-        # column for mode k: (s-psi)(-k^2 cos kx) - psi'' cos kx
-        #                    + 2 psi' k sin kx + cos kx
-        cols = ((s - psi) * (-(self.k ** 2)[:, None] * self.cos_kx)
-                + (1.0 - d2psi) * self.cos_kx
-                + 2.0 * dpsi * (self.k[:, None] * self.sin_kx))
-        return self.project @ cols.T
+        k, kmax = self.k, len(self.k)
+        c = np.zeros((3, 3 * kmax))            # F, G, H at p = 1-K .. 2K
+        c[:, kmax:2 * kmax] = -a, k * k * a, -k * a
+        c[:2, kmax - 1] = 2.0 * s, 2.0
+        c[:, :kmax - 1] = c[:, 2 * kmax - 2:kmax - 1:-1] * [[1], [1], [-1]]
+        f, g, h = (windows(c[:, :2 * kmax - 1], kmax, axis=1)[:, ::-1]
+                   + windows(c[:, kmax + 1:], kmax, axis=1))
+        return 0.5 * (g - k * k * f) + k * h
 
     def solve(self, a0: np.ndarray, s: float, tol: float = 1e-12,
               max_iter: int = 50):
@@ -146,19 +152,17 @@ class _NormalizedSolver:
         r, point_norm = self.residual(a, s)
         self.last_iterations = 0
         for it in range(max_iter):
-            if np.linalg.norm(r) < tol:
+            norm0 = np.linalg.norm(r)
+            if norm0 < tol:
                 self.last_iterations = it
                 return a, point_norm
             delta = np.linalg.solve(self.jacobian(a, s), -r)
-            step = 1.0
-            norm0 = np.linalg.norm(r)
-            while step > 2 ** -20:
+            for step in 0.5 ** np.arange(20):
                 trial = a + step * delta
                 r_trial, pn_trial = self.residual(trial, s)
                 if np.linalg.norm(r_trial) < norm0:
                     a, r, point_norm = trial, r_trial, pn_trial
                     break
-                step *= 0.5
             else:
                 raise NoConvergence(f"step halving exhausted at s={s}")
         if np.linalg.norm(r) < tol:
@@ -167,16 +171,17 @@ class _NormalizedSolver:
         raise NoConvergence(f"no convergence in {max_iter} iterations at s={s}")
 
     def coeffs_from_values(self, values: np.ndarray) -> np.ndarray:
-        # values live on _grid(n), whose first sample sits at -pi; the DFT
-        # anchors phase at sample 0, so mode k picks up a factor (-1)^k.
-        spec = np.fft.rfft(values)
-        signs = np.where(self.k % 2 == 0, 1.0, -1.0)
-        return signs * 2.0 * np.real(spec[1: self.n // 2]) / len(values)
+        """Cosine modes 1..K of samples on any grid from -pi; modes it cannot
+        carry, and its Nyquist mode (as in resize_coefficients), are zero."""
+        top = min(len(self.k), (len(values) - 1) // 2)
+        a = np.zeros(len(self.k))
+        a[:top] = (self.sign[:top] * (2.0 / len(values))
+                   * np.fft.rfft(values)[1:top + 1].real)
+        return a
 
     def profile(self, a: np.ndarray, s: float, gamma: float) -> WaveProfile:
-        x = _grid(self.n)
-        psi = a @ np.cos(np.outer(self.k, x))
-        return WaveProfile(x=x, phi=gamma * psi, c=s * gamma, gamma=gamma)
+        psi = self._fields(a)[0][::2]          # the n grid: every other point
+        return WaveProfile(_grid(self.n), gamma * psi, s * gamma, gamma)
 
 
 def _checked_solve(solver: _NormalizedSolver, a0: np.ndarray,
@@ -188,9 +193,8 @@ def _checked_solve(solver: _NormalizedSolver, a0: np.ndarray,
     than half the linear-theory amplitude is treated as a failure.
     """
     a, _ = solver.solve(a0, s)
-    psi = a @ solver.cos_kx
     lin_amp = 2.0 * math.sqrt(max(6.0 * (s - 1.0), 0.0))
-    if psi.max() - psi.min() < 0.5 * lin_amp:
+    if np.ptp(solver._fields(a)[0]) < 0.5 * lin_amp:
         raise NoConvergence(f"collapsed onto the zero solution at s={s}")
     return a
 
@@ -208,40 +212,38 @@ def _continue_to(solver: _NormalizedSolver, a: np.ndarray, s_from: float,
         return _continue_to(solver, a_mid, mid, s_to, depth - 1)
 
 
+def _check_inputs(gamma: float, n: int, ratios: list) -> None:
+    """Reject, before any Newton step, inputs that no wave exists for."""
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    if n < 4:
+        raise ValueError(f"n = {n} retains no Fourier mode; need n >= 4")
+    if not ratios:
+        raise ValueError("no speed ratios given")
+    for s in ratios:
+        if not 1.0 < s < CREST_SPEED_RATIO:
+            raise ValueError(f"c/gamma = {s} outside the open range "
+                             f"(1, {CREST_SPEED_RATIO})")
+
+
 def solve_periodic_wave(c: float, gamma: float,
                         init: WaveProfile | None = None,
                         n: int = 256) -> WaveProfile:
-    """Newton solve at speed c; initialized from the small-amplitude
-    expansion unless a warm start is given.  If the cold start is too far
-    from the wave, falls back to continuation from small amplitude."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    s = c / gamma
-    if not 1.0 < s < CREST_SPEED_RATIO:
-        raise ValueError(f"c/gamma = {s} outside the open range "
-                         f"(1, {CREST_SPEED_RATIO})")
+    """Newton solve at speed c from the small-amplitude expansion, or from a
+    warm start on any grid.  A cold start too far from the wave falls back
+    to continuation from small amplitude."""
+    s = c / gamma if gamma > 0 else math.nan
+    _check_inputs(gamma, n, [s])
     solver = _NormalizedSolver(n)
-    if init is not None:
-        vals = init.phi / init.gamma
-        if len(vals) != n:
-            spec = np.fft.rfft(vals)
-            out = np.zeros(n // 2 + 1, dtype=complex)
-            keep = min(len(spec), n // 2 + 1)
-            out[:keep] = spec[:keep]
-            vals = np.fft.irfft(out * (n / len(vals)))
-        a0 = solver.coeffs_from_values(vals)
-    else:
-        a0 = solver.coeffs_from_values(perturbation_profile(s, n))
+    start = (perturbation_profile(s, n) if init is None
+             else init.phi / init.gamma)
     try:
-        a = _checked_solve(solver, a0, s)
+        a = _checked_solve(solver, solver.coeffs_from_values(start), s)
     except NoConvergence:
         if init is not None:
             raise
         s0 = min(1.0 + 0.25 * (s - 1.0), 1.01)
-        a = _checked_solve(
-            solver, solver.coeffs_from_values(perturbation_profile(s0, n)),
-            s0)
-        a = _continue_to(solver, a, s0, s)
+        return continuation_branch(gamma, [s0, s], n)[-1]
     return solver.profile(a, s, gamma)
 
 
@@ -249,15 +251,13 @@ def continuation_branch(gamma: float, speed_ratios, n: int = 512):
     """Sweep of solves over increasing c/gamma with warm starts; returns the
     list of profiles in input order.  Oversized parameter steps are bisected
     automatically."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     ratios = list(speed_ratios)
+    _check_inputs(gamma, n, ratios)
     solver = _NormalizedSolver(n)
-    out = []
     a = _checked_solve(
         solver, solver.coeffs_from_values(perturbation_profile(ratios[0], n)),
         ratios[0])
-    out.append(solver.profile(a, ratios[0], gamma))
+    out = [solver.profile(a, ratios[0], gamma)]
     for s_prev, s in zip(ratios, ratios[1:]):
         a = _continue_to(solver, a, s_prev, s)
         out.append(solver.profile(a, s, gamma))

@@ -116,9 +116,20 @@ class TestExitCodes:
          "n_xi and sample_stride must be >= 1"),
         (["characteristics", "--n-xi", "0"],
          "n_xi and sample_stride must be >= 1"),
+        (["wave", "--branch-ratios", "1.05,1.2", "--n", "128"],
+         "c/gamma = 1.2 outside"),
+        (["wave", "--branch-ratios", "0.9,1.05", "--n", "128"],
+         "c/gamma = 0.9 outside"),
+        (["wave", "--branch-ratios", "1.05,nan", "--n", "128"],
+         "c/gamma = nan outside"),
+        (["wave", "--n", "2"], "n = 2 retains no Fourier mode"),
+        (["wave", "--branch-ratios", "1.01,1.02", "--n", "0"],
+         "n = 0 retains no Fourier mode"),
     ], ids=["criteria-gamma0", "criteria-gamma-1", "scan-gamma0",
             "scan-gamma-1", "wave-gamma0", "wave-gamma-1",
-            "characteristics-sample-stride0", "characteristics-n-xi0"])
+            "characteristics-sample-stride0", "characteristics-n-xi0",
+            "wave-ratio-above-crest", "wave-ratio-below-one",
+            "wave-ratio-nan", "wave-n2", "wave-branch-n0"])
     def test_out_of_range_value(self, argv, message, tmp_path, capsys):
         code, out, err = run_cli(argv + ["--output-dir", str(tmp_path)],
                                  capsys)

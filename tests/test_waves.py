@@ -101,6 +101,9 @@ class TestNewtonSolve:
             solve_periodic_wave(1.0, 1.0)
         with pytest.raises(ValueError):
             solve_periodic_wave(CREST_SPEED_RATIO, 1.0)
+        for c in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                solve_periodic_wave(c, 1.0)
 
     def test_collapse_to_zero_rejected(self):
         x = _grid(256)
@@ -123,6 +126,103 @@ class TestNewtonSolve:
         assert ode_residual(w) < 1e-10
         assert abs(np.mean(w.phi)) < 1e-12
         assert even_defect(w.phi) < 1e-12
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("ratios", [
+        [], [1.05, 1.2], [0.9, 1.05], [1.05, math.nan], [1.05, math.inf],
+        [1.0, 1.05], [1.05, CREST_SPEED_RATIO]],
+        ids=["empty", "above", "below", "nan", "inf", "one", "crest"])
+    def test_branch_ratios_rejected_up_front(self, ratios):
+        with pytest.raises(ValueError):
+            continuation_branch(1.0, ratios, n=128)
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_grid_without_a_retained_mode(self, n):
+        with pytest.raises(ValueError, match="need n >= 4"):
+            solve_periodic_wave(1.05, 1.0, n=n)
+        with pytest.raises(ValueError, match="need n >= 4"):
+            continuation_branch(1.0, [1.01, 1.02], n=n)
+
+
+class TestWarmStart:
+    def test_coeffs_from_values_on_any_grid(self):
+        # cosine modes 1..10 sampled on grids coarser and finer than the
+        # solver's, of odd and even length; the solver keeps K = 63 modes
+        solver = _NormalizedSolver(128)
+        a_true = np.zeros(63)
+        a_true[:10] = 1.0 / np.arange(1, 11) ** 2
+        for length in (22, 64, 101, 128, 1024):
+            x = _grid(length)
+            vals = a_true[:10] @ np.cos(np.outer(np.arange(1, 11), x))
+            assert np.max(np.abs(solver.coeffs_from_values(vals)
+                                 - a_true)) < 1e-14
+
+    def test_coarse_nyquist_mode_dropped(self):
+        # cos(32x) on 64 points is that grid's Nyquist mode: the samples
+        # alternate sign and cannot be told from an alias, so it is dropped
+        vals = np.cos(32 * _grid(64))
+        assert np.all(_NormalizedSolver(256).coeffs_from_values(vals) == 0)
+
+    def test_warm_start_from_a_coarser_grid(self):
+        coarse = solve_periodic_wave(1.05, 1.0, n=128)
+        warm = solve_periodic_wave(1.06, 1.0, init=coarse, n=256)
+        cold = solve_periodic_wave(1.06, 1.0, n=256)
+        assert ode_residual(warm) < 1e-10
+        assert np.max(np.abs(warm.phi - cold.phi)) < 1e-10
+
+
+def dense_jacobian(solver, a, s):
+    """The Galerkin Jacobian by quadrature on the doubled grid, with K x 2n
+    tables of cos kx and sin kx."""
+    k, m = solver.k, 2 * solver.n
+    kx = np.outer(k, _grid(m))
+    cos_kx, sin_kx = np.cos(kx), np.sin(kx)
+    psi = a @ cos_kx
+    dpsi = -(a * k) @ sin_kx
+    d2psi = -(a * k ** 2) @ cos_kx
+    cols = ((s - psi) * (-(k ** 2)[:, None] * cos_kx)
+            + (1.0 - d2psi) * cos_kx
+            + 2.0 * dpsi * (k[:, None] * sin_kx))
+    return (cos_kx * (2.0 / m)) @ cols.T
+
+
+@pytest.fixture(scope="module", params=[
+    (n, s, start) for n in (64, 512) for s in (1.02, 1.09)
+    for start in ("converged", "perturbation")],
+    ids=lambda p: f"n{p[0]}-s{p[1]}-{p[2]}")
+def jacobian_case(request):
+    n, s, start = request.param
+    solver = _NormalizedSolver(n)
+    vals = (solve_periodic_wave(s, 1.0, n=n).phi if start == "converged"
+            else perturbation_profile(s, n))
+    return solver, solver.coeffs_from_values(vals), s
+
+
+class TestJacobian:
+    def test_matches_dense_quadrature(self, jacobian_case):
+        solver, a, s = jacobian_case
+        dense = dense_jacobian(solver, a, s)
+        err = np.max(np.abs(solver.jacobian(a, s) - dense))
+        assert err <= 1e-12 * np.max(np.abs(dense))
+
+    def test_matches_central_differences(self, jacobian_case):
+        # the residual is quadratic in a, so central differences carry no
+        # truncation error: what is left is the round-off of the residual's
+        # largest terms, eps * scale, amplified by 1/h.  h * K^2 stays small
+        # next to the scale, so the perturbed terms are no larger.
+        solver, a, s = jacobian_case
+        h = 1e-6
+        cols = []
+        for e in np.eye(len(a)) * h:
+            cols.append(solver.residual(a + e, s)[0]
+                        - solver.residual(a - e, s)[0])
+        fd = np.array(cols).T / (2.0 * h)
+        psi, dpsi, d2psi = solver._fields(a)
+        scale = (np.max(np.abs(s - psi)) * np.max(np.abs(d2psi))
+                 + np.max(dpsi ** 2) + np.max(np.abs(psi)))
+        tol = np.finfo(float).eps / h * scale
+        assert np.max(np.abs(solver.jacobian(a, s) - fd)) <= tol
 
 
 @pytest.fixture(scope="class")
