@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonZeroMean, NumericalFailure
+from .errors import NumericalFailure
 from .evolution import (BlowupEstimate, SimulationConfig, SimulationRecord,
-                        SpectralWorkspace, Termination, march, slope_verdict)
-from .fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
-                      mass_tolerance, parabolic_minmax, resize_coefficients,
-                      spectral_derivative)
+                        Termination, march, slope_verdict)
+from .fourier import (PeriodicField, PeriodicGrid, _require_zero_mean,
+                      field_diagnostics, parabolic_minmax,
+                      resize_coefficients, spectral_derivative)
 from .tables import write_csv
 
 
@@ -41,8 +41,7 @@ class CharacteristicEnsemble:
 
 
 def seed(u0: PeriodicField, n_xi: int) -> CharacteristicEnsemble:
-    if abs(u0.mean * u0.grid.length) > mass_tolerance(u0):
-        raise NonZeroMean("characteristics require zero-mass initial data")
+    _require_zero_mean(u0)
     xi = np.arange(n_xi) * (u0.grid.length / n_xi)
     du = spectral_derivative(u0)
     return CharacteristicEnsemble(xi=xi, x=xi.copy(), u=u0.evaluate(xi),
@@ -58,8 +57,8 @@ class CoSteppingProvider:
     `grids` is the march's rung history.  The midpoint is the cubic Hermite
     interpolant of the ends, (g0 + g1)/2 + dt/8 (g0' - g1') with
     g' = dx^-1 u_t; a rung climb inside the step first zero-pads the start,
-    which is exact.  The march pins mode 0, so G is the coefficients times
-    the antiderivative multiplier.
+    which is exact.  The march pins mode 0, so G and g' are its coefficients
+    and its tendency times the antiderivative multiplier.
     """
 
     def __init__(self, u0: PeriodicField, gamma: float, dt: float):
@@ -70,10 +69,10 @@ class CoSteppingProvider:
         self.g = [PeriodicField(self.u.grid, coefficients=self._end[0])] * 3
 
     def _pull(self) -> tuple[np.ndarray, np.ndarray]:
-        self.i, self.t, c, rung = next(self._steps)
+        self.i, self.t, c, rung, tendency = next(self._steps)
         self.u = PeriodicField(rung, coefficients=c)
         a = rung.antideriv_multiplier
-        return c * a, SpectralWorkspace(rung).rhs(c, self.gamma) * a
+        return c * a, tendency * a
 
     def advance_to(self, i: int):
         """Pull march steps up to step i; raises NumericalFailure if the PDE
@@ -91,25 +90,26 @@ class CoSteppingProvider:
 
 def advance(ens: CharacteristicEnsemble,
             provider: CoSteppingProvider) -> CharacteristicEnsemble:
-    """One RK4 step of the characteristic system over the provider's next
-    PDE step, with the provider's dt and gamma."""
+    """One RK4 step of y = [X, U, V] over the provider's next PDE step, with
+    the provider's dt and gamma.  Raises NumericalFailure if the PDE or the
+    new ensemble is not finite."""
     provider.advance_to(provider.i + 1)
     g0, g_mid, g1 = provider.g
     h, gamma = provider.dt, provider.gamma
 
-    def slope(g, x, u, v):
-        return u, gamma * g.evaluate(x), -v * v + gamma * u
+    def slope(g, y):
+        x, u, v = y
+        return np.array((u, gamma * g.evaluate(x), -v * v + gamma * u))
 
-    k1 = slope(g0, ens.x, ens.u, ens.v)
-    k2 = slope(g_mid, ens.x + 0.5 * h * k1[0], ens.u + 0.5 * h * k1[1],
-               ens.v + 0.5 * h * k1[2])
-    k3 = slope(g_mid, ens.x + 0.5 * h * k2[0], ens.u + 0.5 * h * k2[1],
-               ens.v + 0.5 * h * k2[2])
-    k4 = slope(g1, ens.x + h * k3[0], ens.u + h * k3[1], ens.v + h * k3[2])
-    x = ens.x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    u = ens.u + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    v = ens.v + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return CharacteristicEnsemble(xi=ens.xi, x=x, u=u, v=v, t=provider.t)
+    y = np.array((ens.x, ens.u, ens.v))
+    k1 = slope(g0, y)
+    k2 = slope(g_mid, y + 0.5 * h * k1)
+    k3 = slope(g_mid, y + 0.5 * h * k2)
+    k4 = slope(g1, y + h * k3)
+    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(y)):
+        raise NumericalFailure(f"non-finite ensemble at t = {provider.t:g}")
+    return CharacteristicEnsemble(ens.xi, *y, t=provider.t)
 
 
 def diffeomorphism_check(ens: CharacteristicEnsemble) -> bool:
@@ -143,7 +143,6 @@ class EnsembleTrace:
     v: np.ndarray
     consistency: np.ndarray   # sup_xi |U - u(t, X)|
     min_v: np.ndarray         # parabolically polished min over xi of V
-    g_sup: np.ndarray         # sup_xi |G(t, X)|
     diffeo: np.ndarray        # boolean per sample
 
 
@@ -180,47 +179,37 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
     rows, samples = [], []
 
     def sample(ens, t):
-        u_field = provider.u
-        u_at_x = u_field.evaluate(ens.x)
-        g_at_x = provider.g[2].evaluate(ens.x)
+        u = provider.u
         vmin = parabolic_minmax(ens.v)[0]
         rows.append((t, ens.x, ens.u, ens.v,
-                     float(np.max(np.abs(ens.u - u_at_x))), vmin,
-                     float(np.max(np.abs(g_at_x))),
+                     float(np.max(np.abs(ens.u - u.evaluate(ens.x)))), vmin,
                      diffeomorphism_check(ens)))
-        d = field_diagnostics(u_field.coefficients, u_field.grid,
-                              config.gamma)
+        d = field_diagnostics(u.coefficients, u.grid, config.gamma)
         samples.append(d)
         return min(vmin, d.min_slope), d.sup_abs
 
     sample(ens, 0.0)
     n_steps = int(round(config.t_max / config.dt))
     terminated = Termination.Horizon
-    for i in range(1, n_steps + 1):
-        try:
+    try:
+        for i in range(1, n_steps + 1):
             ens = advance(ens, provider)
-        except NumericalFailure:
-            terminated = Termination.NumericalFailure
-            break
-        if not (np.all(np.isfinite(ens.x)) and np.all(np.isfinite(ens.u))
-                and np.all(np.isfinite(ens.v))):
-            terminated = Termination.NumericalFailure
-            break
-        if (i % sample_stride == 0 or i == n_steps
-                or np.min(ens.v) <= config.stop_slope):
-            t = i * config.dt
-            verdict = slope_verdict(config, t, *sample(ens, t))
-            if verdict is not None:
-                terminated = verdict
-                break
+            if (i % sample_stride == 0 or i == n_steps
+                    or np.min(ens.v) <= config.stop_slope):
+                t = i * config.dt
+                verdict = slope_verdict(config, t, *sample(ens, t))
+                if verdict is not None:
+                    terminated = verdict
+                    break
+    except NumericalFailure:
+        terminated = Termination.NumericalFailure
 
-    times, x, u, v, consistency, min_v, g_sup, diffeo = map(np.array,
-                                                            zip(*rows))
+    times, x, u, v, consistency, min_v, diffeo = map(np.array, zip(*rows))
     record = SimulationRecord.from_samples(config, times, samples,
                                            terminated, grids=provider.grids)
     return record, EnsembleTrace(times=times, x=x, u=u, v=v,
                                  consistency=consistency, min_v=min_v,
-                                 g_sup=g_sup, diffeo=diffeo)
+                                 diffeo=diffeo)
 
 
 def write_ensemble_csv(trace: EnsembleTrace, path):

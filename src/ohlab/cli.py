@@ -101,6 +101,10 @@ def _outdir(cfg) -> Path:
 
 
 def _sim_config(cfg, **extra) -> SimulationConfig:
+    """The run's config; checks fit_depth too, so that a bad value fails
+    before any step is taken or any file written."""
+    if cfg["fit_depth"] >= 0:
+        raise ValueError("fit_depth must be negative")
     return SimulationConfig(
         initial=two_mode_quantities(cfg["a"], cfg["b"]), gamma=cfg["gamma"],
         n=cfg["n"], dt=cfg["dt"], t_max=cfg["t_max"],
@@ -118,20 +122,21 @@ def _fit_blowup(record, cfg, out: Path):
         return None
     chars.write_rate_products_csv(chars.rate_products(record, est),
                                   out / "rate_products.csv")
-    (out / "plot_rate_products.py").write_text(_RATE_PLOT)
+    _write_plot(out, "rate_products", "rate_products.csv", _RATE_PLOT)
     return est
 
 
 def _cmd_simulate(cfg) -> int:
+    config = _sim_config(cfg, stride=cfg["stride"],
+                         snapshot_times=_floats(cfg["snapshots"]))
     out = _outdir(cfg)
-    record = evolution.simulate(_sim_config(
-        cfg, stride=cfg["stride"], snapshot_times=_floats(cfg["snapshots"])))
+    record = evolution.simulate(config)
     est = _fit_blowup(record, cfg, out)
     evolution.write_timeseries(record, out / "timeseries.csv")
     evolution.write_summary(record, est, out / "summary.json")
     for t, f in record.snapshots.items():
         evolution.write_snapshot(f, out / f"snapshot_t{t:g}.csv")
-    (out / "plot_timeseries.py").write_text(_TIMESERIES_PLOT)
+    _write_plot(out, "timeseries", "timeseries.csv", _TIMESERIES_PLOT)
     print(json.dumps(evolution.run_summary(record, est), indent=2))
     return 2 if record.terminated is Termination.NumericalFailure else 0
 
@@ -150,8 +155,9 @@ def _cmd_criteria(cfg) -> int:
 
 
 def _cmd_characteristics(cfg) -> int:
+    config = _sim_config(cfg)
     out = _outdir(cfg)
-    record, trace = chars.co_evolve(_sim_config(cfg), n_xi=cfg["n_xi"],
+    record, trace = chars.co_evolve(config, n_xi=cfg["n_xi"],
                                     sample_stride=cfg["sample_stride"])
     chars.write_ensemble_csv(trace, out / "ensemble.csv")
     summary = {
@@ -194,7 +200,7 @@ def _cmd_wave(cfg) -> int:
                                       n=n)
         residual = waves.ode_residual(w)
     waves.write_profile_csv(w, out / "wave.csv")
-    (out / "plot_wave.py").write_text(_WAVE_PLOT)
+    _write_plot(out, "wave", "wave.csv", _WAVE_PLOT)
     print(json.dumps({**info, "c_over_gamma": w.c / w.gamma,
                       "amplitude": w.amplitude, "residual": residual}))
     return 0
@@ -215,7 +221,7 @@ def _cmd_scan(cfg) -> int:
     else:
         csv = "region_sim.csv"
         scan_mod.write_simulation_csv(result, out / csv)
-    (out / "plot_region.py").write_text(_REGION_PLOT.format(csv=csv))
+    _write_plot(out, "region", csv, _REGION_PLOT)
     violations = scan_mod.region_ordering_violations(result)
     print(json.dumps({"points": len(result.rows),
                       "charac_satisfied": sum(r["charac"]
@@ -224,11 +230,29 @@ def _cmd_scan(cfg) -> int:
     return 0
 
 
-_TIMESERIES_PLOT = """\
-import matplotlib.pyplot as plt
+# Every plot script: the guarded import, the table read into `data`, a
+# command's body drawing on `fig`, and the save.
+_PLOT = """\
+try:
+    import matplotlib.pyplot as plt
+except ImportError:
+    print("matplotlib is not installed; {png} not drawn")
+    raise SystemExit(0)
 import numpy as np
 
-data = np.genfromtxt("timeseries.csv", delimiter=",", names=True)
+data = np.genfromtxt("{csv}", delimiter=",", names=True)
+{body}fig.tight_layout()
+fig.savefig("{png}", dpi=150)
+"""
+
+
+def _write_plot(out: Path, stem: str, csv: str, body: str):
+    """Write plot_<stem>.py, which draws the table csv into <stem>.png."""
+    (out / f"plot_{stem}.py").write_text(
+        _PLOT.format(png=f"{stem}.png", csv=csv, body=body))
+
+
+_TIMESERIES_PLOT = """\
 fig, (ax1, ax2) = plt.subplots(2, 1, sharex=True, figsize=(7, 6))
 ax1.plot(data["t"], data["min_ux"], label="min u_x")
 ax1.plot(data["t"], data["max_ux"], label="max u_x")
@@ -238,15 +262,9 @@ ax2.plot(data["t"], -1.0 / data["min_ux"], label="-1/min u_x")
 ax2.set_xlabel("t")
 ax2.set_ylabel("-1/min u_x")
 ax2.legend()
-fig.tight_layout()
-fig.savefig("timeseries.png", dpi=150)
 """
 
 _RATE_PLOT = """\
-import matplotlib.pyplot as plt
-import numpy as np
-
-data = np.genfromtxt("rate_products.csv", delimiter=",", names=True)
 fig, ax = plt.subplots(figsize=(7, 4))
 ax.plot(data["t"], data["p_min"], label="(T-t) min u_x")
 ax.plot(data["t"], data["p_max"], label="(T-t) max u_x")
@@ -254,29 +272,16 @@ ax.axhline(-1.0, color="k", lw=0.5)
 ax.axhline(0.0, color="k", lw=0.5)
 ax.set_xlabel("t")
 ax.legend()
-fig.tight_layout()
-fig.savefig("rate_products.png", dpi=150)
 """
 
 _WAVE_PLOT = """\
-import matplotlib.pyplot as plt
-import numpy as np
-
-data = np.genfromtxt("wave.csv", delimiter=",", names=True)
 fig, ax = plt.subplots(figsize=(7, 4))
 ax.plot(data["x"], data["phi"])
 ax.set_xlabel("x")
 ax.set_ylabel("phi")
-fig.tight_layout()
-fig.savefig("wave.png", dpi=150)
 """
 
-# str.format template: {csv} is the table the scan wrote
 _REGION_PLOT = """\
-import matplotlib.pyplot as plt
-import numpy as np
-
-data = np.genfromtxt("{csv}", delimiter=",", names=True)
 fig, ax = plt.subplots(figsize=(6, 6))
 for name, marker in (("hunter", "s"), ("cond1", "o"), ("charac", ".")):
     mask = data[name] > 0
@@ -285,8 +290,6 @@ for name, marker in (("hunter", "s"), ("cond1", "o"), ("charac", ".")):
 ax.set_xlabel("a")
 ax.set_ylabel("b")
 ax.legend()
-fig.tight_layout()
-fig.savefig("region.png", dpi=150)
 """
 
 _HANDLERS = {

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientWindow, NumericalFailure
-from .fourier import (ConservedSet, PeriodicField, PeriodicGrid,
-                      field_diagnostics, resize_coefficients)
+from .fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
+                      resize_coefficients)
 from .initial import InitialData
 from .tables import write_csv
 
@@ -67,6 +67,9 @@ class SimulationConfig:
             raise ValueError("stop_slope must be negative")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
+        for t in self.snapshot_times:
+            if not 0.0 <= t <= self.t_max:
+                raise ValueError(f"snapshot time {t:g} outside [0, t_max]")
 
     def summary(self) -> dict:
         d = {k: getattr(self, k) for k in
@@ -88,7 +91,6 @@ class SimulationRecord:
     q_drift: np.ndarray          # relative to the initial value
     e_drift: np.ndarray          # relative to the initial value
     terminated: Termination
-    initial_conserved: ConservedSet
     snapshots: dict = field(default_factory=dict)
     final_field: PeriodicField | None = None
     grids: list = field(default_factory=list)   # (t, n) at each rung reached
@@ -100,15 +102,12 @@ class SimulationRecord:
         """Columns from per-sample FieldDiagnostics, the first taken at
         t = 0; the Q and E drifts are relative to it."""
         dmin, dmax, sup, mass, q, e = np.array(samples, dtype=float).T
-        d0 = samples[0]
         return cls(
             config=config, times=np.asarray(times, dtype=float), min_ux=dmin,
             max_ux=dmax, sup_abs_u=sup, mass_drift=mass,
             q_drift=(q - q[0]) / max(abs(q[0]), 1e-16),
             e_drift=(e - e[0]) / max(abs(e[0]), 1e-16),
-            terminated=terminated,
-            initial_conserved=ConservedSet(mass=d0.mass, q=d0.q, e=d0.e,
-                                           gamma=config.gamma), **extra)
+            terminated=terminated, **extra)
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,11 @@ class SpectralWorkspace:
         return out
 
     def rk4_step(self, coeffs: np.ndarray, dt: float, gamma: float,
-                 nonlinear: bool = True) -> np.ndarray:
-        k1 = self.rhs(coeffs, gamma, nonlinear)
+                 nonlinear: bool = True,
+                 k1: np.ndarray | None = None) -> np.ndarray:
+        """One RK4 step; k1, if given, is rhs(coeffs), already computed."""
+        if k1 is None:
+            k1 = self.rhs(coeffs, gamma, nonlinear)
         k2 = self.rhs(coeffs + 0.5 * dt * k1, gamma, nonlinear)
         k3 = self.rhs(coeffs + 0.5 * dt * k2, gamma, nonlinear)
         k4 = self.rhs(coeffs + dt * k3, gamma, nonlinear)
@@ -181,9 +183,9 @@ def _resolves(coeffs: np.ndarray, m: int) -> bool:
 def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
           n_steps: int | None = None, nonlinear: bool = True, *,
           grids: list):
-    """Yield (i, t, coeffs, rung) for the state after RK4 step i = 0, 1, ...,
-    n_steps (without end if n_steps is None), labelled t = i*dt, with its
-    coefficients on the grid `rung`.
+    """Yield (i, t, coeffs, rung, tendency) after RK4 step i = 0, 1, ...,
+    n_steps (no end if n_steps is None): t = i*dt, coeffs on the grid `rung`
+    and rhs(coeffs) there, which is also the next step's first RK4 stage.
 
     coeffs are on `grid`, the finest rung of the ladder; the march starts
     on the smallest rung that resolves them and climbs one rung, by exact
@@ -205,16 +207,18 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
         return SpectralWorkspace(PeriodicGrid(m, grid.length)), out
 
     ws, coeffs = climb(0.0, coeffs, m)
-    yield 0, 0.0, coeffs, ws.grid
+    tendency = ws.rhs(coeffs, gamma, nonlinear)
+    yield 0, 0.0, coeffs, ws.grid, tendency
     for i in itertools.count(1) if n_steps is None else range(1, n_steps + 1):
-        coeffs = ws.rk4_step(coeffs, dt, gamma, nonlinear)
+        coeffs = ws.rk4_step(coeffs, dt, gamma, nonlinear, tendency)
         if not np.all(np.isfinite(coeffs)):
             raise NumericalFailure(f"non-finite coefficients at step {i}")
         if m < grid.n and not _resolves(coeffs, m):
             # one doubling always suffices: the padded top eighth is zero
             m *= 2
             ws, coeffs = climb(i * dt, coeffs, m)
-        yield i, i * dt, coeffs, ws.grid
+        tendency = ws.rhs(coeffs, gamma, nonlinear)
+        yield i, i * dt, coeffs, ws.grid, tendency
 
 
 def slope_verdict(config: SimulationConfig, t: float, min_slope: float,
@@ -252,7 +256,7 @@ def simulate(config: SimulationConfig) -> SimulationRecord:
     snap_left = sorted(config.snapshot_times)
     terminated = Termination.Horizon
     try:
-        for i, t, coeffs, rung in steps:
+        for i, t, coeffs, rung, _ in steps:
             while snap_left and t >= snap_left[0] - 0.5 * config.dt:
                 snapshots[snap_left.pop(0)] = on_grid(coeffs)
             if i % config.stride == 0 or i == n_steps:
@@ -270,11 +274,14 @@ def simulate(config: SimulationConfig) -> SimulationRecord:
         final_field=on_grid(coeffs), grids=grids)
 
 
-def estimate_blowup(record: SimulationRecord, fit_start: float = 5.0,
+_FIT_START = 5.0   # the fit window opens at this multiple of min u0'
+
+
+def estimate_blowup(record: SimulationRecord,
                     fit_depth: float = -6.0) -> BlowupEstimate:
     """Least-squares line B + C t through y(t) = -1/min_ux(t).
 
-    The window starts once the slope has steepened past fit_start times its
+    The window starts once the slope has steepened past _FIT_START times its
     initial minimum (the regression models an asymptotic law; early samples
     bias C) and is capped at fit_depth: past that depth the steepening front
     is thinner than a few grid cells and recorded minima flatten into a
@@ -287,7 +294,7 @@ def estimate_blowup(record: SimulationRecord, fit_start: float = 5.0,
             f"run terminated with {record.terminated.value}, not SlopeBlowup")
     if fit_depth >= 0:
         raise ValueError("fit_depth must be negative")
-    threshold = fit_start * min(float(record.min_ux[0]), 0.0)
+    threshold = _FIT_START * min(float(record.min_ux[0]), 0.0)
     depth = min(fit_depth, 2.0 * threshold)
     mask = record.min_ux <= threshold
     if not mask.any():

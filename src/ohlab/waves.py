@@ -25,6 +25,7 @@ from .tables import write_csv
 
 CREST_SPEED_RATIO = math.pi ** 2 / 9.0
 CORNER_COEFFICIENT = 1.0 / 18.0
+_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 50   # residual 2-norm, iteration cap
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,9 @@ class _NormalizedSolver:
                    + windows(c[:, kmax + 1:], kmax, axis=1))
         return 0.5 * (g - k * k * f) + k * h
 
-    def solve(self, a0: np.ndarray, s: float, tol: float = 1e-12,
-              max_iter: int = 50):
-        """Newton iteration on the Galerkin system; tol bounds the Galerkin
-        residual 2-norm.  The returned pointwise residual additionally
+    def solve(self, a0: np.ndarray, s: float):
+        """Newton iteration on the Galerkin system, to a Galerkin residual
+        2-norm below _NEWTON_TOL.  The returned pointwise residual also
         carries the spectral truncation tail (modes above K excited by the
         quadratic terms), which no step inside the basis can remove, so it
         is reported rather than iterated on.
@@ -151,9 +151,9 @@ class _NormalizedSolver:
         a = a0.copy()
         r, point_norm = self.residual(a, s)
         self.last_iterations = 0
-        for it in range(max_iter):
+        for it in range(_NEWTON_MAX_ITER):
             norm0 = np.linalg.norm(r)
-            if norm0 < tol:
+            if norm0 < _NEWTON_TOL:
                 self.last_iterations = it
                 return a, point_norm
             delta = np.linalg.solve(self.jacobian(a, s), -r)
@@ -165,10 +165,10 @@ class _NormalizedSolver:
                     break
             else:
                 raise NoConvergence(f"step halving exhausted at s={s}")
-        if np.linalg.norm(r) < tol:
-            self.last_iterations = max_iter
+        if np.linalg.norm(r) < _NEWTON_TOL:
+            self.last_iterations = _NEWTON_MAX_ITER
             return a, point_norm
-        raise NoConvergence(f"no convergence in {max_iter} iterations at s={s}")
+        raise NoConvergence(f"Newton iteration did not converge at s={s}")
 
     def coeffs_from_values(self, values: np.ndarray) -> np.ndarray:
         """Cosine modes 1..K of samples on any grid from -pi; modes it cannot

@@ -7,12 +7,11 @@ from ohlab.characteristics import (CharacteristicEnsemble, CoSteppingProvider,
                                    advance, co_evolve, diffeomorphism_check,
                                    rate_products, seed, write_ensemble_csv,
                                    write_rate_products_csv)
-from ohlab.errors import NonZeroMean
+from ohlab.errors import NonZeroMean, NumericalFailure
 from ohlab.evolution import (BlowupEstimate, SimulationConfig,
                              SimulationRecord, SpectralWorkspace, Termination,
                              simulate)
-from ohlab.fourier import (PeriodicField, PeriodicGrid, conserved_quantities,
-                           resize_coefficients)
+from ohlab.fourier import PeriodicField, PeriodicGrid, resize_coefficients
 from ohlab.initial import two_mode_quantities
 
 TWO_PI = 2.0 * np.pi
@@ -119,6 +118,41 @@ class TestProvider:
         co_evolve(cfg, n_xi=8)
         assert steps == [1e-2] * 20
 
+    def test_four_rhs_calls_per_step(self, monkeypatch):
+        # the tendency of each state is computed once, by the march, and is
+        # the next step's first RK4 stage: 3 more stages and 1 tendency per
+        # step, after the tendency of the initial state
+        calls = []
+        rhs = SpectralWorkspace.rhs
+
+        def counted(ws, *args):
+            calls.append(ws.n)
+            return rhs(ws, *args)
+
+        monkeypatch.setattr(SpectralWorkspace, "rhs", counted)
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64,
+                               dt=1e-2, t_max=0.2)
+        co_evolve(cfg, n_xi=8)
+        assert len(calls) == 4 * 20 + 1
+        u0 = cfg.initial.sample(PeriodicGrid(64))
+        provider = CoSteppingProvider(u0, 1.0, 1e-2)
+        ens = seed(u0, 8)
+        calls.clear()
+        advance(ens, provider)
+        assert len(calls) == 4
+
+
+class TestNonFiniteEnsemble:
+    def test_advance_raises(self):
+        # V = 1e200 squares past the float range within the step
+        provider = CoSteppingProvider(zero_field(), 1.0, 1e-3)
+        ens = CharacteristicEnsemble(
+            xi=np.array([0.0, 0.5]), x=np.array([0.0, 0.5]), u=np.zeros(2),
+            v=np.array([1.0, -1e200]), t=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure):
+                advance(ens, provider)
+
 
 class TestDiffeomorphismCheck:
     def test_identity_passes(self):
@@ -150,13 +184,11 @@ class TestRateProducts:
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64, dt=dt,
                                t_max=1.84)
         zeros = np.zeros_like(times)
-        u = two_mode_quantities(0.05, 0.0).sample(PeriodicGrid(64))
         rec = SimulationRecord(
             config=cfg, times=times, min_ux=-1.0 / (2.0 - times),
             max_ux=0.5 / (2.0 - times), sup_abs_u=zeros + 0.05,
             mass_drift=zeros, q_drift=zeros, e_drift=zeros,
-            terminated=Termination.SlopeBlowup,
-            initial_conserved=conserved_quantities(u, 1.0))
+            terminated=Termination.SlopeBlowup)
         est = BlowupEstimate(b=2.0, c=-1.0, window=(1.6, 1.83),
                              residual=0.0, n_samples=24)
         return rec, est

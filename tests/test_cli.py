@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -137,6 +138,36 @@ class TestExitCodes:
         assert f"error: {message}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--t-max", "0.05", "--fit-depth", "1"],
+         "fit_depth must be negative"),
+        (["simulate", "--a", "0.2", "--dt", "0.002", "--t-max", "30",
+          "--fit-depth", "0"], "fit_depth must be negative"),
+        (["characteristics", "--t-max", "0.05", "--n-xi", "8",
+          "--fit-depth", "1"], "fit_depth must be negative"),
+        (["simulate", "--t-max", "0.05", "--snapshots=-1"],
+         "snapshot time -1 outside [0, t_max]"),
+        (["simulate", "--t-max", "0.05", "--snapshots", "0.01,7"],
+         "snapshot time 7 outside [0, t_max]"),
+        (["simulate", "--t-max", "0.05", "--snapshots", "nan"],
+         "snapshot time nan outside [0, t_max]"),
+    ], ids=["simulate-fit-depth-horizon", "simulate-fit-depth-breaking",
+            "characteristics-fit-depth", "snapshot-negative",
+            "snapshot-past-t-max", "snapshot-nan"])
+    def test_rejected_before_stepping(self, argv, message, tmp_path,
+                                      capsys):
+        # these ran to the end first: a bad fit_depth passed unread on a run
+        # that did not break, and a bad snapshot time was dropped or stored
+        # under a time the field was not taken at
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(argv + ["--n", "256",
+                                         "--output-dir", str(out_dir)],
+                                 capsys)
+        assert code == 1
+        assert f"error: {message}" in err
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_config_key_of_another_command(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("a = 0.05\nn = 1024\n")
@@ -154,6 +185,37 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "criteria.json").exists()
+
+
+class TestPlotScripts:
+    def test_run_without_matplotlib(self, tmp_path, capsys):
+        # every emitted script prints a note and exits 0 when matplotlib
+        # cannot be imported, as the README says
+        runs = {
+            "sim": ["simulate", "--a", "0.2", "--n", "256", "--dt", "0.002",
+                    "--t-max", "30"],
+            "wave": ["wave", "--n", "64"],
+            "scan": ["scan", "--a-count", "1", "--b-count", "1"],
+        }
+        for name, argv in runs.items():
+            assert run_cli(argv + ["--output-dir", str(tmp_path / name)],
+                           capsys)[0] == 0
+        stub = tmp_path / "stub" / "matplotlib"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text(
+            "raise ImportError('matplotlib stub')\n")
+        scripts = sorted(tmp_path.glob("*/plot_*.py"))
+        assert [p.name for p in scripts] == [
+            "plot_region.py", "plot_rate_products.py", "plot_timeseries.py",
+            "plot_wave.py"]
+        for script in scripts:
+            proc = subprocess.run(
+                [sys.executable, script.name], cwd=script.parent,
+                env={**os.environ, "PYTHONPATH": str(stub.parent)},
+                capture_output=True, text=True)
+            assert proc.returncode == 0, (script.name, proc.stderr)
+            assert "matplotlib is not installed" in proc.stdout, script.name
+            assert not list(script.parent.glob("*.png"))
 
 
 class TestCriteriaCommand:

@@ -5,9 +5,9 @@ from ohlab.characteristics import co_evolve
 from ohlab.errors import InsufficientWindow
 from ohlab.evolution import (SimulationConfig, SimulationRecord,
                              SpectralWorkspace, Termination, estimate_blowup,
-                             run_summary, simulate, write_timeseries)
-from ohlab.fourier import (PeriodicField, PeriodicGrid, conserved_quantities,
-                          field_diagnostics, resize_coefficients)
+                             march, run_summary, simulate, write_timeseries)
+from ohlab.fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
+                           resize_coefficients)
 from ohlab.initial import sampled_data, two_mode_quantities
 
 TWO_PI = 2.0 * np.pi
@@ -25,6 +25,19 @@ class TestConfigValidation:
     def test_bad_stride(self):
         with pytest.raises(ValueError):
             SimulationConfig(two_mode_quantities(0.1, 0.0), stride=0)
+
+    @pytest.mark.parametrize("t", [-1.0, 0.06, 7.0, float("nan")])
+    def test_snapshot_time_outside_run(self, t):
+        # these used to be stored under t (-1 held the t = 0 field) or
+        # dropped without a word
+        with pytest.raises(ValueError, match="outside"):
+            SimulationConfig(two_mode_quantities(0.1, 0.0), dt=0.01,
+                             t_max=0.05, snapshot_times=(0.02, t))
+
+    def test_snapshot_times_at_the_ends(self):
+        cfg = SimulationConfig(two_mode_quantities(0.1, 0.0), n=64, dt=0.01,
+                               t_max=0.05, snapshot_times=(0.0, 0.05))
+        assert set(simulate(cfg).snapshots) == {0.0, 0.05}
 
 
 class TestLinearDispersion:
@@ -102,6 +115,26 @@ class TestNonlinearTerm:
         w[0] = w[-1] = 1.0
         terms = w * np.conj(c) * rhs
         assert abs(np.sum(terms).real) <= 1e-13 * np.sum(np.abs(terms))
+
+
+class TestMarchTendency:
+    def test_tendency_is_rhs_of_the_yielded_state(self):
+        # a = 0.5 climbs off the 256 rung by t = 0.25
+        grid, grids = PeriodicGrid(1024), []
+        c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
+        for i, _, c, rung, tendency in march(grid, c0, 5e-4, 1.0, 500,
+                                             grids=grids):
+            assert np.array_equal(tendency,
+                                  SpectralWorkspace(rung).rhs(c, 1.0)), i
+        assert len(grids) >= 2
+
+    def test_given_k1_is_the_same_step(self):
+        grid = PeriodicGrid(256)
+        ws = SpectralWorkspace(grid)
+        c = two_mode_quantities(0.1, 0.05).sample(grid).coefficients
+        c[-1] = 0.0
+        assert np.array_equal(ws.rk4_step(c, 1e-2, 1.0, True, ws.rhs(c, 1.0)),
+                              ws.rk4_step(c, 1e-2, 1.0))
 
 
 def fixed_grid_run(cfg, n_steps):
@@ -252,12 +285,10 @@ class TestEstimator:
         times = np.arange(0.0, t_end + 0.5 * dt, dt)
         min_ux = -1.0 / (2.0 - times)
         zeros = np.zeros_like(times)
-        u = two_mode_quantities(0.05, 0.0).sample(PeriodicGrid(64))
         return SimulationRecord(
             config=cfg, times=times, min_ux=min_ux, max_ux=-min_ux,
             sup_abs_u=zeros + 0.05, mass_drift=zeros, q_drift=zeros,
-            e_drift=zeros, terminated=Termination.SlopeBlowup,
-            initial_conserved=conserved_quantities(u, 1.0))
+            e_drift=zeros, terminated=Termination.SlopeBlowup)
 
     def test_recovers_exact_line(self):
         est = estimate_blowup(self.synthetic_record())
