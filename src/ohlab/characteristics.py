@@ -159,13 +159,10 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
     takes the steps of `simulate`, so it equals simulate's record with
     stride = sample_stride on the samples both take.
 
-    Raises ValueError for config fields it cannot honour: nonlinear=False
-    (V' = -V^2 + gamma*U holds only for the nonlinear equation), stride != 1
+    Raises ValueError for config fields it cannot honour: stride != 1
     (sampling is set by sample_stride) and snapshot_times, and for
     n_xi < 1 or sample_stride < 1.
     """
-    if not config.nonlinear:
-        raise ValueError("co_evolve needs the nonlinear equation")
     if config.stride != 1:
         raise ValueError("co_evolve samples by sample_stride; stride must "
                          "be 1")

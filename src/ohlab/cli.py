@@ -171,7 +171,9 @@ def _cmd_characteristics(cfg) -> int:
     est = _fit_blowup(record, cfg, out)
     if est is not None:
         summary["blowup"] = {"B": est.b, "C": est.c, "T": est.t_blowup}
-    print(json.dumps(summary, indent=2))
+    text = json.dumps(summary, indent=2)
+    (out / "summary.json").write_text(text + "\n")
+    print(text)
     return 2 if record.terminated is Termination.NumericalFailure else 0
 
 

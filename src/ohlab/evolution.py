@@ -58,7 +58,6 @@ class SimulationConfig:
     stop_slope: float = -200.0
     stride: int = 1
     snapshot_times: tuple = ()
-    nonlinear: bool = True     # off = pure dispersion, for phase-error checks
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
@@ -143,24 +142,20 @@ class SpectralWorkspace:
         u = np.fft.irfft(coeffs * self.up, n=self.pad)
         return np.fft.rfft(u * u)[: self.n // 2 + 1] * self.half_deriv_down
 
-    def rhs(self, coeffs: np.ndarray, gamma: float,
-            nonlinear: bool = True) -> np.ndarray:
-        out = gamma * coeffs * self.antideriv
-        if nonlinear:
-            out = out - self.nonlinear_term(coeffs)
+    def rhs(self, coeffs: np.ndarray, gamma: float) -> np.ndarray:
+        out = gamma * coeffs * self.antideriv - self.nonlinear_term(coeffs)
         out[0] = 0.0
         out[-1] = 0.0
         return out
 
     def rk4_step(self, coeffs: np.ndarray, dt: float, gamma: float,
-                 nonlinear: bool = True,
                  k1: np.ndarray | None = None) -> np.ndarray:
         """One RK4 step; k1, if given, is rhs(coeffs), already computed."""
         if k1 is None:
-            k1 = self.rhs(coeffs, gamma, nonlinear)
-        k2 = self.rhs(coeffs + 0.5 * dt * k1, gamma, nonlinear)
-        k3 = self.rhs(coeffs + 0.5 * dt * k2, gamma, nonlinear)
-        k4 = self.rhs(coeffs + dt * k3, gamma, nonlinear)
+            k1 = self.rhs(coeffs, gamma)
+        k2 = self.rhs(coeffs + 0.5 * dt * k1, gamma)
+        k3 = self.rhs(coeffs + 0.5 * dt * k2, gamma)
+        k4 = self.rhs(coeffs + dt * k3, gamma)
         out = coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[0] = 0.0   # zero-mean projection; the tendency preserves it anyway
         out[-1] = 0.0
@@ -181,8 +176,7 @@ def _resolves(coeffs: np.ndarray, m: int) -> bool:
 
 
 def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
-          n_steps: int | None = None, nonlinear: bool = True, *,
-          grids: list):
+          n_steps: int | None = None, *, grids: list):
     """Yield (i, t, coeffs, rung, tendency) after RK4 step i = 0, 1, ...,
     n_steps (no end if n_steps is None): t = i*dt, coeffs on the grid `rung`
     and rhs(coeffs) there, which is also the next step's first RK4 stage.
@@ -207,17 +201,17 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
         return SpectralWorkspace(PeriodicGrid(m, grid.length)), out
 
     ws, coeffs = climb(0.0, coeffs, m)
-    tendency = ws.rhs(coeffs, gamma, nonlinear)
+    tendency = ws.rhs(coeffs, gamma)
     yield 0, 0.0, coeffs, ws.grid, tendency
     for i in itertools.count(1) if n_steps is None else range(1, n_steps + 1):
-        coeffs = ws.rk4_step(coeffs, dt, gamma, nonlinear, tendency)
+        coeffs = ws.rk4_step(coeffs, dt, gamma, tendency)
         if not np.all(np.isfinite(coeffs)):
             raise NumericalFailure(f"non-finite coefficients at step {i}")
         if m < grid.n and not _resolves(coeffs, m):
             # one doubling always suffices: the padded top eighth is zero
             m *= 2
             ws, coeffs = climb(i * dt, coeffs, m)
-        tendency = ws.rhs(coeffs, gamma, nonlinear)
+        tendency = ws.rhs(coeffs, gamma)
         yield i, i * dt, coeffs, ws.grid, tendency
 
 
@@ -247,7 +241,7 @@ def simulate(config: SimulationConfig) -> SimulationRecord:
     n_steps = int(round(config.t_max / config.dt))
     times, samples, snapshots, grids = [], [], {}, []
     steps = march(grid, config.initial.sample(grid).coefficients, config.dt,
-                  config.gamma, n_steps, config.nonlinear, grids=grids)
+                  config.gamma, n_steps, grids=grids)
 
     def on_grid(coeffs):
         return PeriodicField(grid, coefficients=resize_coefficients(
@@ -334,6 +328,8 @@ def run_summary(record: SimulationRecord,
         "config": record.config.summary(),
         "terminated": record.terminated.value,
         "grids": record.grids,
+        "snapshots_missed": [t for t in sorted(record.config.snapshot_times)
+                             if t not in record.snapshots],
         "blowup": None,
     }
     if est is not None:

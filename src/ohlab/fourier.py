@@ -2,10 +2,10 @@
 
 Everything downstream (time stepping, characteristics, traveling waves)
 manipulates fields through this module: differentiation, the mean-zero
-anti-derivative, quadrature and off-grid evaluation of the trigonometric
-interpolant.  `field_diagnostics` is the one place that turns a coefficient
-vector into sup|u|, the slope extrema, mass and the conserved quantities Q
-and E; the solver's samples, `conserved_quantities`, the line criterion and
+anti-derivative, exact zero-padding between grids and off-grid evaluation
+of the trigonometric interpolant.  `field_diagnostics` is the one place that
+turns a coefficient vector into sup|u|, the slope extrema, mass and the
+conserved quantities Q and E; the solver's samples, the line criterion and
 the quadrature scalars of initial data all read it.
 """
 from __future__ import annotations
@@ -117,19 +117,6 @@ class PeriodicField:
     def mean(self) -> float:
         return float(np.real(self.coefficients[0]) / self.grid.n)
 
-    def resample(self, m: int) -> np.ndarray:
-        """Samples of the trigonometric interpolant on an m-point grid.
-
-        m must be >= n; extra modes are zero-padded, which evaluates the same
-        interpolant on the finer grid.
-        """
-        n = self.grid.n
-        if m == n:
-            return self.values.copy()
-        if m < n or m & (m - 1) != 0:
-            raise ValueError("resample target must be a power of two >= n")
-        return np.fft.irfft(resize_coefficients(self.coefficients, m))
-
     def evaluate(self, points) -> np.ndarray:
         """Trigonometric interpolant at arbitrary points (vectorized).
 
@@ -151,24 +138,8 @@ class PeriodicField:
         weights[active > 0] *= 2.0  # rfft stores only k >= 0
         return np.real(phases @ weights)
 
-    def derivative_values(self, m: int | None = None) -> np.ndarray:
-        """Samples of the spectral derivative, optionally on a finer grid."""
-        d = PeriodicField(self.grid,
-                          coefficients=self.coefficients * self.grid.deriv_multiplier)
-        return d.values if m is None else d.resample(m)
-
     def __repr__(self):
         return f"PeriodicField(n={self.grid.n}, length={self.grid.length})"
-
-
-@dataclass(frozen=True)
-class ConservedSet:
-    """Mass, Q = int u^2, and E = int [gamma*(dx^-1 u)^2 + u^3/3]."""
-
-    mass: float
-    q: float
-    e: float
-    gamma: float
 
 
 def mass_tolerance(f: PeriodicField) -> float:
@@ -196,12 +167,6 @@ def antiderivative_zero_mean(f: PeriodicField) -> PeriodicField:
     _require_zero_mean(f)
     return PeriodicField(f.grid,
                          coefficients=f.coefficients * f.grid.antideriv_multiplier)
-
-
-def integral(values: np.ndarray, length: float) -> float:
-    """Spectral quadrature on uniform periodic samples (exact through the
-    grid's alias-free bandwidth)."""
-    return float(np.mean(values)) * length
 
 
 class FieldDiagnostics(NamedTuple):
@@ -240,12 +205,6 @@ def field_diagnostics(coeffs: np.ndarray, grid: PeriodicGrid,
         + float(np.mean(u * u * u)) * length / 3.0
     return FieldDiagnostics(dmin, dmax, max(abs(umin), abs(umax)), mass,
                             float(q), float(e))
-
-
-def conserved_quantities(f: PeriodicField, gamma: float) -> ConservedSet:
-    _require_zero_mean(f)
-    d = field_diagnostics(f.coefficients, f.grid, gamma)
-    return ConservedSet(mass=d.mass, q=d.q, e=d.e, gamma=gamma)
 
 
 def parabolic_minmax(values: np.ndarray) -> tuple[float, float]:

@@ -55,12 +55,11 @@ class ScanResult:
     rows: list = field(default_factory=list)   # dicts, one per grid point
 
 
-def _criteria_point(args) -> dict:
-    a, b, gamma = args
-    d = two_mode_quantities(a, b)
+def _criteria_row(d, gamma: float) -> dict:
+    """The verdict row of one two-mode datum d."""
     reports = crit.all_reports(d, gamma)
     return {
-        "a": a, "b": b,
+        "a": d.params["a"], "b": d.params["b"],
         "hunter": reports["hunter"].satisfied,
         "cond1": reports["cond1"].satisfied,
         "cond2": reports["cond2"].satisfied,
@@ -69,10 +68,15 @@ def _criteria_point(args) -> dict:
     }
 
 
+def _criteria_point(args) -> dict:
+    a, b, gamma = args
+    return _criteria_row(two_mode_quantities(a, b), gamma)
+
+
 def _simulation_point(args) -> dict:
     a, b, gamma, n, dt, t_max, stop_slope = args
-    row = _criteria_point((a, b, gamma))
     d = two_mode_quantities(a, b)
+    row = _criteria_row(d, gamma)
     config = SimulationConfig(initial=d, gamma=gamma, n=n, dt=dt,
                               t_max=t_max, stop_slope=stop_slope)
     record = simulate(config)

@@ -12,7 +12,8 @@ import pytest
 
 from ohlab.characteristics import rate_products
 from ohlab.criteria import find_t1
-from ohlab.evolution import SimulationConfig, Termination, simulate
+from ohlab.evolution import (SimulationConfig, SpectralWorkspace, Termination,
+                             simulate)
 from ohlab.initial import sampled_data, two_mode_quantities
 from ohlab.scan import (ScanConfig, region_ordering_violations, scan,
                         write_region_csv)
@@ -181,11 +182,12 @@ def test_criterion_10_scan_determinism(acceptance, tmp_path):
                f"({len(files[0])} bytes)")
 
 
-def test_dispersion_phase_error(acceptance):
-    # nonlinear term off: mode 1 must rotate at exactly gamma/(2 pi)
+def test_dispersion_phase_error(acceptance, monkeypatch):
+    # quadratic term off: mode 1 must rotate at exactly gamma/(2 pi)
+    monkeypatch.setattr(SpectralWorkspace, "nonlinear_term",
+                        lambda ws, c: np.zeros_like(c))
     cfg = SimulationConfig(two_mode_quantities(1.0, 0.0), gamma=1.0, n=64,
-                           dt=0.01, t_max=4.0 * math.pi ** 2,
-                           nonlinear=False, stride=200)
+                           dt=0.01, t_max=4.0 * math.pi ** 2, stride=200)
     rec = simulate(cfg)
     t = rec.times[-1]
     exact = np.cos(TWO_PI * rec.final_field.grid.x - t / TWO_PI)

@@ -260,7 +260,7 @@ class TestSimulateCommand:
     def test_breaking_run_artifacts(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["simulate", "--a", "0.2", "--n", "512", "--dt", "0.002",
-             "--t-max", "30", "--snapshots", "0.5",
+             "--t-max", "30", "--snapshots", "0.5,25",
              "--output-dir", str(tmp_path)], capsys)
         assert code == 0
         summary = json.loads(out)
@@ -274,6 +274,10 @@ class TestSimulateCommand:
             assert (tmp_path / name).exists(), name
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert on_disk == summary
+        # the run breaks near t = 1.1, so t = 25 is never reached; the
+        # summary used to say nothing of it
+        assert summary["snapshots_missed"] == [25.0]
+        assert not (tmp_path / "snapshot_t25.csv").exists()
 
 
 class TestCharacteristicsCommand:
@@ -289,6 +293,7 @@ class TestCharacteristicsCommand:
         assert 0.0 <= summary["min_v_vs_grid"] < 1e-3
         assert summary["grids"] == [[0.0, 256]]
         assert (tmp_path / "ensemble.csv").exists()
+        assert (tmp_path / "summary.json").read_text() == out
 
     def test_breaking_data_exits_zero(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -41,12 +41,18 @@ class TestConfigValidation:
 
 
 class TestLinearDispersion:
+    @pytest.fixture(autouse=True)
+    def linear_flow(self, monkeypatch):
+        # the quadratic term off: x - 0 is exact, so rhs is the linear flow
+        monkeypatch.setattr(SpectralWorkspace, "nonlinear_term",
+                            lambda ws, c: np.zeros_like(c))
+
     def test_single_mode_phase(self):
-        # with the quadratic term off, mode k rotates at rate gamma/(2 pi k);
-        # the k=1 cosine translates with phase gamma*t/(2 pi)
+        # mode k rotates at rate gamma/(2 pi k); the k=1 cosine translates
+        # with phase gamma*t/(2 pi)
         cfg = SimulationConfig(two_mode_quantities(1.0, 0.0), gamma=1.0,
                                n=64, dt=0.01, t_max=4.0 * np.pi ** 2,
-                               nonlinear=False, stride=100)
+                               stride=100)
         rec = simulate(cfg)
         assert rec.terminated is Termination.Horizon
         t = rec.times[-1]
@@ -56,7 +62,7 @@ class TestLinearDispersion:
 
     def test_amplitude_preserved(self):
         cfg = SimulationConfig(two_mode_quantities(1.0, 0.0), n=64, dt=0.01,
-                               t_max=5.0, nonlinear=False, stride=50)
+                               t_max=5.0, stride=50)
         rec = simulate(cfg)
         # refined-extremum recording is O(h^4) accurate; ~1e-8 at n=64
         assert np.max(np.abs(rec.sup_abs_u - 1.0)) < 1e-7
@@ -133,7 +139,7 @@ class TestMarchTendency:
         ws = SpectralWorkspace(grid)
         c = two_mode_quantities(0.1, 0.05).sample(grid).coefficients
         c[-1] = 0.0
-        assert np.array_equal(ws.rk4_step(c, 1e-2, 1.0, True, ws.rhs(c, 1.0)),
+        assert np.array_equal(ws.rk4_step(c, 1e-2, 1.0, ws.rhs(c, 1.0)),
                               ws.rk4_step(c, 1e-2, 1.0))
 
 

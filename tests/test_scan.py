@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ohlab import scan as scan_mod
 from ohlab.scan import (ScanConfig, ScanResult, region_ordering_violations,
                         scan, write_region_csv, write_simulation_csv)
 
@@ -100,3 +101,15 @@ class TestSimulationScan:
         assert header == "a,b,hunter,cond1,cond2,charac,T_est,C_est,terminated"
         assert len(rows) == 2
         assert all(r.endswith("SlopeBlowup") for r in rows)
+
+    def test_each_point_builds_its_datum_once(self, monkeypatch):
+        # the criteria row and the run used to build the datum twice
+        calls = []
+        build = scan_mod.two_mode_quantities
+        monkeypatch.setattr(scan_mod, "two_mode_quantities",
+                            lambda a, b: calls.append((a, b)) or build(a, b))
+        cfg = ScanConfig(a_range=(0.05, 0.1, 2), b_range=(0.0, 0.0, 1),
+                         criteria_only=False, n=64, dt=0.01, t_max=0.05)
+        rows = scan(cfg).rows
+        assert calls == [(0.05, 0.0), (0.1, 0.0)]
+        assert [(r["a"], r["b"]) for r in rows] == calls
