@@ -295,7 +295,8 @@ class TestUnsupportedConfig:
     # co_evolve has its own sampling; these fields used to be dropped
     # without a word
     @pytest.mark.parametrize("field", [
-        {"stride": 7}, {"snapshot_times": (0.01,)}])
+        {"stride": 7}, {"snapshot_times": (0.01,)},
+        {"stride": 2, "snapshot_times": (0.01,)}])
     def test_rejected(self, field):
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64,
                                dt=1e-2, t_max=0.02, **field)
