@@ -7,27 +7,28 @@ consistency checks) spectrally at off-grid positions.  Positions are kept
 unwrapped: the trigonometric interpolant is periodic anyway, and unwrapped
 positions are what make the monotonicity-in-xi diagnostic meaningful.
 
-The PDE behind the ensemble is `evolution.march` at the ensemble's own step
-dt, pulled one step per ensemble step by `CoSteppingProvider`, so it takes
-the steps of `simulate` and climbs the same grid ladder.  The ensemble's
-mid-step RK4 stages take G from the cubic Hermite interpolant of the step's
-two ends (Hairer, Norsett & Wanner, Solving ODEs I, II.6), fourth-order in
-dt like the RK4 step.  `co_evolve` checks min V against stop_slope after
-every ensemble step and ends the run with the same `slope_verdict` as
-`simulate`.
+The PDE behind the ensemble is `evolution.simulate`'s own march, and the
+ensemble is its rider: `co_evolve` is `simulate` with an `EnsembleRider`,
+which is told of every PDE step, steps the ensemble over it, asks for a
+sample when min V first reaches stop_slope, and lets the verdict judge the
+steeper of min V and the grid's min u_x.  So the ensemble takes the steps
+of `simulate`, on the same grid ladder, and shares its sampling, verdict
+and record.  The ensemble's mid-step RK4 stages take G from the cubic
+Hermite interpolant of the step's two ends (Hairer, Norsett & Wanner,
+Solving ODEs I, II.6), fourth-order in dt like the RK4 step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalFailure
 from .evolution import (BlowupEstimate, SimulationConfig, SimulationRecord,
-                        Termination, march, slope_verdict)
+                        simulate)
 from .fourier import (PeriodicField, PeriodicGrid, _require_zero_mean,
-                      field_diagnostics, parabolic_minmax,
-                      resize_coefficients, spectral_derivative)
+                      parabolic_minmax, resize_coefficients,
+                      spectral_derivative)
 from .tables import write_csv
 
 
@@ -49,51 +50,41 @@ def seed(u0: PeriodicField, n_xi: int) -> CharacteristicEnsemble:
 
 
 class CoSteppingProvider:
-    """Supplies u and G = dx^-1 u over one PDE step at a time.
+    """Supplies u and G = dx^-1 u over one PDE step at a time, fed the steps
+    of a march at step dt.
 
-    The PDE marches at the ensemble's step dt.  After `advance_to(i)`, `u`
-    is the state after step i, labelled t = i*dt, and `g` holds G at the
-    start, the midpoint and the end of step i, on the rung of its end;
-    `grids` is the march's rung history.  The midpoint is the cubic Hermite
-    interpolant of the ends, (g0 + g1)/2 + dt/8 (g0' - g1') with
+    After `advance_to(i, t, coeffs, rung, tendency)`, `u` is the state after
+    step i, labelled t, and `g` holds G at the start, the midpoint and the
+    end of step i, on the rung of its end.  The midpoint is the cubic
+    Hermite interpolant of the ends, (g0 + g1)/2 + dt/8 (g0' - g1') with
     g' = dx^-1 u_t; a rung climb inside the step first zero-pads the start,
     which is exact.  The march pins mode 0, so G and g' are its coefficients
-    and its tendency times the antiderivative multiplier.
+    and its tendency times the antiderivative multiplier.  At step 0 all
+    three are G of the initial state.
     """
 
-    def __init__(self, u0: PeriodicField, gamma: float, dt: float):
-        self.gamma, self.dt, self.grids = gamma, dt, []
-        self._steps = march(u0.grid, u0.coefficients, dt, gamma,
-                            grids=self.grids)
-        self._end = self._pull()
-        self.g = [PeriodicField(self.u.grid, coefficients=self._end[0])] * 3
+    def __init__(self, gamma: float, dt: float):
+        self.gamma, self.dt = gamma, dt
 
-    def _pull(self) -> tuple[np.ndarray, np.ndarray]:
-        self.i, self.t, c, rung, tendency = next(self._steps)
-        self.u = PeriodicField(rung, coefficients=c)
+    def advance_to(self, i: int, t: float, coeffs: np.ndarray,
+                   rung: PeriodicGrid, tendency: np.ndarray):
+        """Take march step i, which `march` yields as these arguments."""
+        self.t, self.u = t, PeriodicField(rung, coefficients=coeffs)
         a = rung.antideriv_multiplier
-        return c * a, tendency * a
-
-    def advance_to(self, i: int):
-        """Pull march steps up to step i; raises NumericalFailure if the PDE
-        coefficients stop being finite."""
-        while self.i < i:
-            g0, d0 = self._end
-            self._end = g1, d1 = self._pull()
-            if len(g0) < len(g1):
-                g0, d0 = (resize_coefficients(c, self.u.grid.n)
-                          for c in (g0, d0))
-            mid = 0.5 * (g0 + g1) + (0.125 * self.dt) * (d0 - d1)
-            self.g = [PeriodicField(self.u.grid, coefficients=c)
-                      for c in (g0, mid, g1)]
+        g1, d1 = coeffs * a, tendency * a
+        g0, d0 = self._end if i else (g1, d1)
+        if len(g0) < len(g1):
+            g0, d0 = (resize_coefficients(c, rung.n) for c in (g0, d0))
+        mid = 0.5 * (g0 + g1) + (0.125 * self.dt) * (d0 - d1)
+        self.g = [PeriodicField(rung, coefficients=c) for c in (g0, mid, g1)]
+        self._end = g1, d1
 
 
 def advance(ens: CharacteristicEnsemble,
             provider: CoSteppingProvider) -> CharacteristicEnsemble:
-    """One RK4 step of y = [X, U, V] over the provider's next PDE step, with
-    the provider's dt and gamma.  Raises NumericalFailure if the PDE or the
-    new ensemble is not finite."""
-    provider.advance_to(provider.i + 1)
+    """One RK4 step of y = [X, U, V] over the provider's latest PDE step,
+    with the provider's dt and gamma.  Raises NumericalFailure if the new
+    ensemble is not finite."""
     g0, g_mid, g1 = provider.g
     h, gamma = provider.dt, provider.gamma
 
@@ -146,67 +137,66 @@ class EnsembleTrace:
     diffeo: np.ndarray        # boolean per sample
 
 
+class EnsembleRider:
+    """A characteristic ensemble riding `simulate`'s march: each PDE step is
+    fed to a `CoSteppingProvider`, and the ensemble takes one RK4 step over
+    it.  A step asks for a sample when min V reaches stop_slope, and each
+    sample adds a row to the trace and returns the polished min V."""
+
+    def __init__(self, config: SimulationConfig, n_xi: int):
+        self.provider = CoSteppingProvider(config.gamma, config.dt)
+        self.ens = seed(config.initial.sample(PeriodicGrid(config.n)), n_xi)
+        self.stop_slope = config.stop_slope
+        self.rows = []
+
+    def advance_to(self, i, t, coeffs, rung, tendency) -> bool:
+        self.provider.advance_to(i, t, coeffs, rung, tendency)
+        if i > 0:
+            self.ens = advance(self.ens, self.provider)
+        return bool(np.min(self.ens.v) <= self.stop_slope)
+
+    def sample(self, t: float) -> float:
+        ens, u = self.ens, self.provider.u
+        vmin = parabolic_minmax(ens.v)[0]
+        self.rows.append((t, ens.x, ens.u, ens.v,
+                          float(np.max(np.abs(ens.u - u.evaluate(ens.x)))),
+                          vmin, diffeomorphism_check(ens)))
+        return vmin
+
+    def trace(self) -> EnsembleTrace:
+        times, x, u, v, consistency, min_v, diffeo = map(np.array,
+                                                         zip(*self.rows))
+        return EnsembleTrace(times=times, x=x, u=u, v=v,
+                             consistency=consistency, min_v=min_v,
+                             diffeo=diffeo)
+
+
 def co_evolve(config: SimulationConfig, n_xi: int = 256,
               sample_stride: int = 10) -> tuple[SimulationRecord, EnsembleTrace]:
-    """Run the PDE and an ensemble side by side.
+    """Run the PDE and an ensemble side by side: `simulate` at stride =
+    sample_stride with an `EnsembleRider`, plus the rider's trace.
 
     The PDE and the ensemble both march at config.dt, one PDE step per
     ensemble step, step i labelled t = i*dt.  Diagnostics are recorded
-    every sample_stride ensemble steps, at the last step, and at the step
-    where min V first reaches stop_slope.  Each sample is judged by
-    `slope_verdict` on the steeper of min V and the grid's min u_x.  The
-    returned SimulationRecord is recorded on the same sample times; the PDE
-    takes the steps of `simulate`, so it equals simulate's record with
-    stride = sample_stride on the samples both take.
+    every sample_stride steps, at the last step, and at the step where min
+    V first reaches stop_slope; each sample is judged by `slope_verdict` on
+    the steeper of min V and the grid's min u_x.  The record is
+    `simulate`'s, snapshots and final field included, and its config has
+    stride = sample_stride; it equals the record of a plain `simulate` at
+    that stride on the samples both take.  sample_stride keeps its own name
+    here and in the CLI while the benchmark calls it so.
 
-    Raises ValueError for config fields it cannot honour: stride != 1
-    (sampling is set by sample_stride) and snapshot_times, and for
-    n_xi < 1 or sample_stride < 1.
+    Raises ValueError for stride != 1 (sampling is set by sample_stride)
+    and for n_xi < 1 or sample_stride < 1.
     """
     if config.stride != 1:
         raise ValueError("co_evolve samples by sample_stride; stride must "
                          "be 1")
-    if config.snapshot_times:
-        raise ValueError("co_evolve takes no snapshots")
     if n_xi < 1 or sample_stride < 1:
         raise ValueError("n_xi and sample_stride must be >= 1")
-    u0 = config.initial.sample(PeriodicGrid(config.n))
-    provider = CoSteppingProvider(u0, config.gamma, config.dt)
-    ens = seed(u0, n_xi)
-    rows, samples = [], []
-
-    def sample(ens, t):
-        u = provider.u
-        vmin = parabolic_minmax(ens.v)[0]
-        rows.append((t, ens.x, ens.u, ens.v,
-                     float(np.max(np.abs(ens.u - u.evaluate(ens.x)))), vmin,
-                     diffeomorphism_check(ens)))
-        d = field_diagnostics(u.coefficients, u.grid, config.gamma)
-        samples.append(d)
-        return min(vmin, d.min_slope), d.sup_abs
-
-    sample(ens, 0.0)
-    n_steps = int(round(config.t_max / config.dt))
-    terminated = Termination.Horizon
-    try:
-        for i in range(1, n_steps + 1):
-            ens = advance(ens, provider)
-            if (i % sample_stride == 0 or i == n_steps
-                    or np.min(ens.v) <= config.stop_slope):
-                t = i * config.dt
-                verdict = slope_verdict(config, t, *sample(ens, t))
-                if verdict is not None:
-                    terminated = verdict
-                    break
-    except NumericalFailure:
-        terminated = Termination.NumericalFailure
-
-    times, x, u, v, consistency, min_v, diffeo = map(np.array, zip(*rows))
-    record = SimulationRecord.from_samples(config, times, samples,
-                                           terminated, grids=provider.grids)
-    return record, EnsembleTrace(times=times, x=x, u=u, v=v,
-                                 consistency=consistency, min_v=min_v,
-                                 diffeo=diffeo)
+    rider = EnsembleRider(config, n_xi)
+    record = simulate(replace(config, stride=sample_stride), rider)
+    return record, rider.trace()
 
 
 def write_ensemble_csv(trace: EnsembleTrace, path):

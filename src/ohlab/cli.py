@@ -161,16 +161,12 @@ def _cmd_characteristics(cfg) -> int:
                                     sample_stride=cfg["sample_stride"])
     chars.write_ensemble_csv(trace, out / "ensemble.csv")
     summary = {
-        "terminated": record.terminated.value,
-        "grids": record.grids,
+        **evolution.run_summary(record, _fit_blowup(record, cfg, out)),
         "t_end": float(record.times[-1]),
         "sup_consistency": float(trace.consistency.max()),
         "min_v_vs_grid": float(np.max(np.abs(trace.min_v - record.min_ux))),
         "diffeomorphism": bool(trace.diffeo.all()),
     }
-    est = _fit_blowup(record, cfg, out)
-    if est is not None:
-        summary["blowup"] = {"B": est.b, "C": est.c, "T": est.t_blowup}
     text = json.dumps(summary, indent=2)
     (out / "summary.json").write_text(text + "\n")
     print(text)

@@ -8,10 +8,12 @@ round-off, at two transforms instead of three.  The mode-0 and Nyquist
 coefficients are pinned to zero throughout (zero mass, odd-derivative
 convention).
 
-`march` is the one stepping loop: `simulate` consumes it directly and
-`characteristics.co_evolve` through its field provider.  Both sample with
-`fourier.field_diagnostics`, end on `slope_verdict` and assemble their
-record with `SimulationRecord.from_samples`.
+`march` is the one stepping loop and `simulate` the one loop on top of it:
+it counts steps, samples with `fourier.field_diagnostics`, ends on
+`slope_verdict` and assembles the record.  An optional rider is told of
+every step and may ask for a sample and steepen the slope the verdict
+judges; `characteristics.co_evolve` is `simulate` with its ensemble as the
+rider.
 
 `march` steps on the smallest grid that still resolves the field to
 round-off.  The config's n is the finest rung of a ladder of power-of-two
@@ -93,20 +95,6 @@ class SimulationRecord:
     snapshots: dict = field(default_factory=dict)
     final_field: PeriodicField | None = None
     grids: list = field(default_factory=list)   # (t, n) at each rung reached
-
-    @classmethod
-    def from_samples(cls, config: SimulationConfig, times: list,
-                     samples: list, terminated: Termination,
-                     **extra) -> "SimulationRecord":
-        """Columns from per-sample FieldDiagnostics, the first taken at
-        t = 0; the Q and E drifts are relative to it."""
-        dmin, dmax, sup, mass, q, e = np.array(samples, dtype=float).T
-        return cls(
-            config=config, times=np.asarray(times, dtype=float), min_ux=dmin,
-            max_ux=dmax, sup_abs_u=sup, mass_drift=mass,
-            q_drift=(q - q[0]) / max(abs(q[0]), 1e-16),
-            e_drift=(e - e[0]) / max(abs(e[0]), 1e-16),
-            terminated=terminated, **extra)
 
 
 @dataclass(frozen=True)
@@ -228,14 +216,22 @@ def slope_verdict(config: SimulationConfig, t: float, min_slope: float,
             else Termination.NumericalFailure)
 
 
-def simulate(config: SimulationConfig) -> SimulationRecord:
+def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     """Integrate until the horizon, slope blow-up, or numerical failure.
 
     Diagnostics are sampled every `stride` steps and at the last step, on
     the current rung's grid; each sample after t = 0 is judged by
     `slope_verdict`.  Snapshots are checked after every step and hold the
     first state within dt/2 of their time.  Snapshots and the final field
-    are on the config grid.
+    are on the config grid.  The Q and E drifts are relative to the t = 0
+    sample.
+
+    A rider, if given, rides the march: `rider.advance_to(i, t, coeffs,
+    rung, tendency)` is called after every step, before its snapshots, and
+    a true return asks for a sample at that step; at every sample,
+    `rider.sample(t)` returns a slope minimum, and the verdict judges the
+    steeper of it and the grid's.  NumericalFailure raised by the rider
+    ends the run like the march's own.
     """
     grid = PeriodicGrid(config.n)
     n_steps = int(round(config.t_max / config.dt))
@@ -250,21 +246,30 @@ def simulate(config: SimulationConfig) -> SimulationRecord:
     snap_left = sorted(config.snapshot_times)
     terminated = Termination.Horizon
     try:
-        for i, t, coeffs, rung, _ in steps:
+        for i, t, coeffs, rung, tendency in steps:
+            asked = rider is not None and rider.advance_to(i, t, coeffs, rung,
+                                                           tendency)
             while snap_left and t >= snap_left[0] - 0.5 * config.dt:
                 snapshots[snap_left.pop(0)] = on_grid(coeffs)
-            if i % config.stride == 0 or i == n_steps:
+            if i % config.stride == 0 or i == n_steps or asked:
                 d = field_diagnostics(coeffs, rung, config.gamma)
                 times.append(t)
                 samples.append(d)
-                verdict = slope_verdict(config, t, d.min_slope, d.sup_abs)
+                slope = d.min_slope if rider is None \
+                    else min(rider.sample(t), d.min_slope)
+                verdict = slope_verdict(config, t, slope, d.sup_abs)
                 if i > 0 and verdict is not None:
                     terminated = verdict
                     break
     except NumericalFailure:
         terminated = Termination.NumericalFailure
-    return SimulationRecord.from_samples(
-        config, times, samples, terminated, snapshots=snapshots,
+    dmin, dmax, sup, mass, q, e = np.array(samples, dtype=float).T
+    return SimulationRecord(
+        config=config, times=np.asarray(times, dtype=float), min_ux=dmin,
+        max_ux=dmax, sup_abs_u=sup, mass_drift=mass,
+        q_drift=(q - q[0]) / max(abs(q[0]), 1e-16),
+        e_drift=(e - e[0]) / max(abs(e[0]), 1e-16),
+        terminated=terminated, snapshots=snapshots,
         final_field=on_grid(coeffs), grids=grids)
 
 

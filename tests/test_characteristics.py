@@ -10,7 +10,7 @@ from ohlab.characteristics import (CharacteristicEnsemble, CoSteppingProvider,
 from ohlab.errors import NonZeroMean, NumericalFailure
 from ohlab.evolution import (BlowupEstimate, SimulationConfig,
                              SimulationRecord, SpectralWorkspace, Termination,
-                             simulate)
+                             march, simulate)
 from ohlab.fourier import PeriodicField, PeriodicGrid, resize_coefficients
 from ohlab.initial import two_mode_quantities
 
@@ -20,6 +20,15 @@ TWO_PI = 2.0 * np.pi
 def zero_field(n=64):
     g = PeriodicGrid(n)
     return PeriodicField(g, values=np.zeros(n))
+
+
+def fed_provider(u0, gamma, dt, grids=None):
+    """A provider fed step 0 of u0's march, and the march for the rest."""
+    steps = march(u0.grid, u0.coefficients, dt, gamma,
+                  grids=[] if grids is None else grids)
+    provider = CoSteppingProvider(gamma, dt)
+    provider.advance_to(*next(steps))
+    return provider, steps
 
 
 class TestSeed:
@@ -46,12 +55,13 @@ class TestRiccatiLimit:
     def test_pure_riccati_on_zero_field(self):
         # u = 0 solves the PDE, so V' = -V^2 exactly: V(t) = v0/(1 + v0 t)
         dt = 1e-3
-        provider = CoSteppingProvider(zero_field(), 1.0, dt)
+        provider, steps = fed_provider(zero_field(), 1.0, dt)
         v0 = np.array([1.0, 2.0, -0.25])
         ens = CharacteristicEnsemble(
             xi=np.array([0.0, 0.25, 0.5]), x=np.array([0.0, 0.25, 0.5]),
             u=np.zeros(3), v=v0.copy(), t=0.0)
         for _ in range(1000):
+            provider.advance_to(*next(steps))
             ens = advance(ens, provider)
         expect = v0 / (1.0 + v0 * ens.t)
         assert ens.t == pytest.approx(1.0)
@@ -66,11 +76,13 @@ class TestProvider:
         # starting rung, and the fields are on the current rung's grid
         grid = PeriodicGrid(1024)
         u0 = two_mode_quantities(0.5, 0.0).sample(grid)
-        provider = CoSteppingProvider(u0, 1.0, 5e-4)
-        provider.advance_to(500)
-        assert provider.grids[0] == (0.0, 256) and len(provider.grids) >= 2
+        grids = []
+        provider, steps = fed_provider(u0, 1.0, 5e-4, grids)
+        for _ in range(500):
+            provider.advance_to(*next(steps))
+        assert grids[0] == (0.0, 256) and len(grids) >= 2
         assert provider.t == 0.25
-        assert all(f.grid.n == provider.grids[-1][1]
+        assert all(f.grid.n == grids[-1][1]
                    for f in (provider.u, *provider.g))
         ws = SpectralWorkspace(grid)
         c = u0.coefficients.copy()
@@ -86,11 +98,12 @@ class TestProvider:
         """sup|G| error of the Hermite midpoint over the step that climbs
         the first rung, against a dt/2 RK4 step on the fixed 1024 grid."""
         grid = PeriodicGrid(1024)
-        provider = CoSteppingProvider(
-            two_mode_quantities(0.5, 0.0).sample(grid), 1.0, dt)
-        while len(provider.grids) < 2:
+        grids = []
+        provider, steps = fed_provider(
+            two_mode_quantities(0.5, 0.0).sample(grid), 1.0, dt, grids)
+        while len(grids) < 2:
             start = provider.u
-            provider.advance_to(provider.i + 1)
+            provider.advance_to(*next(steps))
         assert start.grid.n < provider.u.grid.n   # the step crosses a climb
         c = resize_coefficients(start.coefficients, grid.n)
         c = SpectralWorkspace(grid).rk4_step(c, 0.5 * dt, 1.0)
@@ -135,9 +148,10 @@ class TestProvider:
         co_evolve(cfg, n_xi=8)
         assert len(calls) == 4 * 20 + 1
         u0 = cfg.initial.sample(PeriodicGrid(64))
-        provider = CoSteppingProvider(u0, 1.0, 1e-2)
+        provider, steps = fed_provider(u0, 1.0, 1e-2)
         ens = seed(u0, 8)
         calls.clear()
+        provider.advance_to(*next(steps))
         advance(ens, provider)
         assert len(calls) == 4
 
@@ -145,7 +159,8 @@ class TestProvider:
 class TestNonFiniteEnsemble:
     def test_advance_raises(self):
         # V = 1e200 squares past the float range within the step
-        provider = CoSteppingProvider(zero_field(), 1.0, 1e-3)
+        provider, steps = fed_provider(zero_field(), 1.0, 1e-3)
+        provider.advance_to(*next(steps))
         ens = CharacteristicEnsemble(
             xi=np.array([0.0, 0.5]), x=np.array([0.0, 0.5]), u=np.zeros(2),
             v=np.array([1.0, -1e200]), t=0.0)
@@ -273,6 +288,9 @@ class TestMatchesSimulate:
             assert np.array_equal(getattr(co, name)[on_co],
                                   getattr(sim, name)[on_sim]), name
         assert co.grids == [g for g in sim.grids if g[0] <= co.times[-1]]
+        if ends is Termination.Horizon:
+            assert np.array_equal(co.final_field.coefficients,
+                                  sim.final_field.coefficients)
 
 
 class TestBreakingEnsemble:
@@ -292,13 +310,27 @@ class TestBreakingEnsemble:
 
 
 class TestUnsupportedConfig:
-    # co_evolve has its own sampling; these fields used to be dropped
+    # co_evolve samples by sample_stride; a stride used to be dropped
     # without a word
     @pytest.mark.parametrize("field", [
-        {"stride": 7}, {"snapshot_times": (0.01,)},
-        {"stride": 2, "snapshot_times": (0.01,)}])
+        {"stride": 7}, {"stride": 2, "snapshot_times": (0.01,)}])
     def test_rejected(self, field):
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64,
                                dt=1e-2, t_max=0.02, **field)
         with pytest.raises(ValueError):
             co_evolve(cfg, n_xi=8)
+
+    def test_snapshots_equal_simulate(self):
+        # co_evolve is simulate with a rider, so it takes simulate's
+        # snapshots, on the config grid
+        cfg = SimulationConfig(two_mode_quantities(0.5, 0.0), n=1024,
+                               dt=5e-4, t_max=0.3,
+                               snapshot_times=(0.0, 0.01, 0.25))
+        co, _ = co_evolve(cfg, n_xi=8)
+        sim = simulate(cfg)
+        assert list(co.snapshots) == [0.0, 0.01, 0.25]
+        assert co.snapshots.keys() == sim.snapshots.keys()
+        for t, f in sim.snapshots.items():
+            assert co.snapshots[t].grid.n == 1024
+            assert np.array_equal(co.snapshots[t].coefficients,
+                                  f.coefficients)

@@ -299,9 +299,23 @@ class TestCharacteristicsCommand:
         code, out, _ = run_cli(
             ["characteristics", "--a", "0.05", "--n", "256", "--t-max", "5",
              "--stop-slope", "-30", "--n-xi", "32",
-             "--output-dir", str(tmp_path)], capsys)
+             "--output-dir", str(tmp_path / "chars")], capsys)
         assert code == 0
-        assert json.loads(out)["terminated"] == "SlopeBlowup"
+        summary = json.loads(out)
+        assert summary["terminated"] == "SlopeBlowup"
+        assert (tmp_path / "chars" / "summary.json").read_text() == out
+        # the summary is simulate's, plus the ensemble's own keys
+        code, out, _ = run_cli(
+            ["simulate", "--a", "0.05", "--n", "256", "--t-max", "5",
+             "--stop-slope", "-30", "--output-dir", str(tmp_path / "sim")],
+            capsys)
+        assert code == 0
+        sim = json.loads(out)
+        assert set(sim) <= set(summary)
+        assert set(sim["config"]) == set(summary["config"])
+        assert summary["config"]["stride"] == 10
+        assert set(summary["blowup"]) == {"B", "C", "T", "residual",
+                                          "window"}
 
 
 class TestWaveCommand:

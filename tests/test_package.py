@@ -1,6 +1,8 @@
-"""Static checks on the package source: exports that resolve and no stale
-imports.  Both are what a deletion leaves behind, so they are checked here
-with the standard library's `ast` rather than an external linter."""
+"""Static checks on the package source: exports that resolve, no stale
+imports, and one sampling loop.  The first two are what a deletion leaves
+behind, the last what a second copy of a loop brings back, so they are
+checked here with the standard library's `ast` rather than an external
+linter."""
 import ast
 from pathlib import Path
 
@@ -53,3 +55,23 @@ def test_no_unused_imports(path):
 def test_unused_import_is_detected():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "tau"}
+
+
+def call_sites(tree, name):
+    """Calls of a function `name`, by bare name or as an attribute."""
+    return sum(isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               == name for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("name", ["march", "slope_verdict"])
+def test_one_sampling_loop(name):
+    # `simulate` is the one loop that steps, samples and judges; a second
+    # caller of either is a second loop
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in SOURCES]
+    assert sum(call_sites(tree, name) for tree in trees) == 1
+
+
+def test_call_sites_are_counted():
+    tree = ast.parse("march(1)\nev.march(2)\nmarch\nf(march)\n")
+    assert call_sites(tree, "march") == 2
