@@ -311,14 +311,24 @@ class TestBreakingEnsemble:
 
 class TestUnsupportedConfig:
     # co_evolve samples by sample_stride; a stride used to be dropped
-    # without a word
+    # without a word.  One equal to sample_stride is no exception.
     @pytest.mark.parametrize("field", [
-        {"stride": 7}, {"stride": 2, "snapshot_times": (0.01,)}])
+        {"stride": 7}, {"stride": 2, "snapshot_times": (0.01,)},
+        {"stride": 2, "sample_stride": 2}])
     def test_rejected(self, field):
+        field = dict(field)
+        sample_stride = field.pop("sample_stride", 10)
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64,
                                dt=1e-2, t_max=0.02, **field)
         with pytest.raises(ValueError):
-            co_evolve(cfg, n_xi=8)
+            co_evolve(cfg, n_xi=8, sample_stride=sample_stride)
+
+    @pytest.mark.parametrize("kwargs", [{"n_xi": 0}, {"sample_stride": 0}])
+    def test_rejected_arguments(self, kwargs):
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64,
+                               dt=1e-2, t_max=0.02)
+        with pytest.raises(ValueError):
+            co_evolve(cfg, **{"n_xi": 8, **kwargs})
 
     def test_snapshots_equal_simulate(self):
         # co_evolve is simulate with a rider, so it takes simulate's
