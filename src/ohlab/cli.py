@@ -7,12 +7,14 @@ the defaults, then a flat key = value config file (--config), then --key
 flags.  A key the command does not read is a usage error, whether it is
 given as a flag or in the config file.  Outputs (CSV data plus small
 matplotlib plot scripts) land in output_dir, which defaults to
-$OHLAB_OUTPUT_DIR or the working directory.
+$OHLAB_OUTPUT_DIR or the working directory.  Each handler returns its
+summary; `dispatch` writes it to summary.json and prints the same text.
 Exit status: 0 success, 1 usage error, 2 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,9 +29,13 @@ from .errors import InsufficientWindow, NoConvergence, OhlabError
 from .evolution import SimulationConfig, Termination
 from .initial import two_mode_quantities
 
-_STEPPING = {"n": 4096, "dt": 1e-3, "t_max": 25.0, "stop_slope": -200.0}
-_RUN = {"gamma": 1.0, "a": 0.05, "b": 0.0, **_STEPPING,
-        "fit_depth": -6.0, "output_dir": ""}
+_RUN = {"gamma": 1.0, "a": 0.05, "b": 0.0, "n": 4096, "dt": 1e-3,
+        "t_max": 25.0, "stop_slope": -200.0, "fit_depth": -6.0,
+        "output_dir": ""}
+# scan's keys that are ScanConfig fields take its defaults, so that the
+# command and the library scan step the same grid
+_SCAN = {f.name: f.default for f in dataclasses.fields(scan_mod.ScanConfig)
+         if f.default is not dataclasses.MISSING}
 
 COMMAND_KEYS = {
     "simulate": {**_RUN, "stride": 1, "snapshots": ""},
@@ -37,10 +43,8 @@ COMMAND_KEYS = {
     "characteristics": {**_RUN, "n_xi": 256, "sample_stride": 10},
     "wave": {"gamma": 1.0, "c_over_gamma": 1.05, "corner": False,
              "branch_ratios": "", "n": 256, "output_dir": ""},
-    "scan": {"gamma": 1.0, "a_min": 0.0, "a_max": 0.2, "a_count": 41,
-             "b_min": 0.0, "b_max": 0.2, "b_count": 41,
-             "criteria_only": True, "workers": 1, **_STEPPING,
-             "output_dir": ""},
+    "scan": {"a_min": 0.0, "a_max": 0.2, "a_count": 41, "b_min": 0.0,
+             "b_max": 0.2, "b_count": 41, **_SCAN, "output_dir": ""},
 }
 
 
@@ -126,54 +130,45 @@ def _fit_blowup(record, cfg, out: Path):
     return est
 
 
-def _cmd_simulate(cfg) -> int:
+def _cmd_simulate(cfg) -> dict:
     config = _sim_config(cfg, stride=cfg["stride"],
                          snapshot_times=_floats(cfg["snapshots"]))
     out = _outdir(cfg)
     record = evolution.simulate(config)
     est = _fit_blowup(record, cfg, out)
     evolution.write_timeseries(record, out / "timeseries.csv")
-    evolution.write_summary(record, est, out / "summary.json")
     for t, f in record.snapshots.items():
         evolution.write_snapshot(f, out / f"snapshot_t{t:g}.csv")
     _write_plot(out, "timeseries", "timeseries.csv", _TIMESERIES_PLOT)
-    print(json.dumps(evolution.run_summary(record, est), indent=2))
-    return 2 if record.terminated is Termination.NumericalFailure else 0
+    return evolution.run_summary(record, est)
 
 
-def _cmd_criteria(cfg) -> int:
+def _cmd_criteria(cfg) -> dict:
     d = two_mode_quantities(cfg["a"], cfg["b"])
     reports = crit.all_reports(d, cfg["gamma"])
-    payload = {name: rep.as_dict() for name, rep in reports.items()}
-    payload["scalars"] = {"sup_abs": d.sup_abs, "l2": d.l2,
+    summary = {name: dataclasses.asdict(rep) for name, rep in reports.items()}
+    summary["scalars"] = {"sup_abs": d.sup_abs, "l2": d.l2,
                           "min_slope": d.min_slope, "max_slope": d.max_slope,
                           "cube": d.cube}
-    text = json.dumps(payload, indent=2)
-    (_outdir(cfg) / "criteria.json").write_text(text + "\n")
-    print(text)
-    return 0
+    return summary
 
 
-def _cmd_characteristics(cfg) -> int:
+def _cmd_characteristics(cfg) -> dict:
     config = _sim_config(cfg)
     out = _outdir(cfg)
     record, trace = chars.co_evolve(config, n_xi=cfg["n_xi"],
                                     sample_stride=cfg["sample_stride"])
     chars.write_ensemble_csv(trace, out / "ensemble.csv")
-    summary = {
+    return {
         **evolution.run_summary(record, _fit_blowup(record, cfg, out)),
         "t_end": float(record.times[-1]),
         "sup_consistency": float(trace.consistency.max()),
         "min_v_vs_grid": float(np.max(np.abs(trace.min_v - record.min_ux))),
         "diffeomorphism": bool(trace.diffeo.all()),
     }
-    text = json.dumps(summary, indent=2)
-    (out / "summary.json").write_text(text + "\n")
-    print(text)
-    return 2 if record.terminated is Termination.NumericalFailure else 0
 
 
-def _cmd_wave(cfg) -> int:
+def _cmd_wave(cfg) -> dict:
     """A non-empty branch_ratios sweeps the branch and writes its steepest
     profile; else corner gives the corner wave, else one Newton solve."""
     gamma, n = cfg["gamma"], cfg["n"]
@@ -199,19 +194,16 @@ def _cmd_wave(cfg) -> int:
         residual = waves.ode_residual(w)
     waves.write_profile_csv(w, out / "wave.csv")
     _write_plot(out, "wave", "wave.csv", _WAVE_PLOT)
-    print(json.dumps({**info, "c_over_gamma": w.c / w.gamma,
-                      "amplitude": w.amplitude, "residual": residual}))
-    return 0
+    return {**info, "c_over_gamma": w.c / w.gamma, "amplitude": w.amplitude,
+            "residual": residual}
 
 
-def _cmd_scan(cfg) -> int:
+def _cmd_scan(cfg) -> dict:
     out = _outdir(cfg)
     sconf = scan_mod.ScanConfig(
         a_range=(cfg["a_min"], cfg["a_max"], cfg["a_count"]),
         b_range=(cfg["b_min"], cfg["b_max"], cfg["b_count"]),
-        gamma=cfg["gamma"], criteria_only=cfg["criteria_only"],
-        workers=cfg["workers"], n=cfg["n"], dt=cfg["dt"],
-        t_max=cfg["t_max"], stop_slope=cfg["stop_slope"])
+        **{key: cfg[key] for key in _SCAN})
     result = scan_mod.scan(sconf)
     if cfg["criteria_only"]:
         csv = "region.csv"
@@ -221,11 +213,9 @@ def _cmd_scan(cfg) -> int:
         scan_mod.write_simulation_csv(result, out / csv)
     _write_plot(out, "region", csv, _REGION_PLOT)
     violations = scan_mod.region_ordering_violations(result)
-    print(json.dumps({"points": len(result.rows),
-                      "charac_satisfied": sum(r["charac"]
-                                              for r in result.rows),
-                      "ordering_violations": len(violations)}))
-    return 0
+    return {"points": len(result.rows),
+            "charac_satisfied": sum(r["charac"] for r in result.rows),
+            "ordering_violations": len(violations)}
 
 
 # Every plot script: the guarded import, the table read into `data`, a
@@ -325,7 +315,10 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](_settings(args))
+        cfg = _settings(args)
+        summary = _HANDLERS[args.command](cfg)
+        text = json.dumps(summary, indent=2)
+        (_outdir(cfg) / "summary.json").write_text(text + "\n")
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -337,6 +330,9 @@ def dispatch(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
+    print(text)
+    failed = summary.get("terminated") == Termination.NumericalFailure.value
+    return 2 if failed else 0
 
 
 def main():

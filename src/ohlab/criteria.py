@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, NonZeroMean, NotApplicable, TailTooLarge
+from .errors import DegenerateData, NonZeroMean, TailTooLarge
 from .fourier import PeriodicField, PeriodicGrid, field_diagnostics
 from .initial import InitialData
 
@@ -46,19 +46,15 @@ class CriterionReport:
     time_bound: float | None = None
     epsilon: float | None = None
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "satisfied": self.satisfied,
-                "margin": self.margin, "time_bound": self.time_bound,
-                "epsilon": self.epsilon}
-
 
 def hunter_criterion(d: InitialData, gamma: float = 1.0) -> CriterionReport:
     """m^3 > 4M(4+m) with m = -inf u0', M = sup|u0|; breaking before 2/m.
 
-    Stated only for gamma = 1; no rescaling to other gamma is attempted.
+    Stated only for gamma = 1; no rescaling to other gamma is attempted, so
+    any other gamma reports unsatisfied with margin -inf.
     """
     if gamma != 1.0:
-        raise NotApplicable("the m^3 > 4M(4+m) criterion is stated for gamma = 1")
+        return CriterionReport("hunter", False, -math.inf)
     m = -d.min_slope
     big_m = d.sup_abs
     margin = m ** 3 - 4.0 * big_m * (4.0 + m)
@@ -213,14 +209,9 @@ def line_criterion(data: LineData, gamma: float) -> CriterionReport:
 
 
 def all_reports(d: InitialData, gamma: float) -> dict[str, CriterionReport]:
-    """The four periodic-domain criteria; the gamma = 1 criterion reports
-    unsatisfied with margin -inf when gamma != 1 rather than raising."""
-    try:
-        hunter = hunter_criterion(d, gamma)
-    except NotApplicable:
-        hunter = CriterionReport("hunter", False, -math.inf)
+    """The four periodic-domain criteria."""
     return {
-        "hunter": hunter,
+        "hunter": hunter_criterion(d, gamma),
         "cond1": cubic_criterion_one(d, gamma),
         "cond2": cubic_criterion_two(d, gamma),
         "charac": characteristics_criterion(d, gamma),

@@ -26,10 +26,6 @@ class NegativeParameter(OhlabError):
     """Closed forms for the two-mode family assume a, b >= 0."""
 
 
-class NotApplicable(OhlabError):
-    """Criterion is stated only for a normalization the caller did not use."""
-
-
 class TailTooLarge(OhlabError):
     """Line data does not decay at the truncation boundaries."""
 

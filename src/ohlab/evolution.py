@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +61,8 @@ class SimulationConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
+        if not self.gamma > 0:
+            raise ValueError("gamma must be positive")
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
         if self.stop_slope >= 0:
@@ -342,9 +343,3 @@ def run_summary(record: SimulationRecord,
                          "residual": est.residual,
                          "window": list(est.window)}
     return out
-
-
-def write_summary(record: SimulationRecord, est: BlowupEstimate | None, path):
-    with open(path, "w") as fh:
-        json.dump(run_summary(record, est), fh, indent=2)
-        fh.write("\n")

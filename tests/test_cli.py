@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ohlab.cli import COMMAND_KEYS, _floats, dispatch, read_config
+from ohlab.cli import (COMMAND_KEYS, _floats, _settings, build_parser,
+                       dispatch, read_config)
+from ohlab.scan import ScanConfig
 
 SIMULATE = COMMAND_KEYS["simulate"]
 
@@ -126,11 +130,16 @@ class TestExitCodes:
         (["wave", "--n", "2"], "n = 2 retains no Fourier mode"),
         (["wave", "--branch-ratios", "1.01,1.02", "--n", "0"],
          "n = 0 retains no Fourier mode"),
+        (["simulate", "--gamma", "-1", "--t-max", "0.05"],
+         "gamma must be positive"),
+        (["characteristics", "--gamma", "0", "--t-max", "0.05"],
+         "gamma must be positive"),
     ], ids=["criteria-gamma0", "criteria-gamma-1", "scan-gamma0",
             "scan-gamma-1", "wave-gamma0", "wave-gamma-1",
             "characteristics-sample-stride0", "characteristics-n-xi0",
             "wave-ratio-above-crest", "wave-ratio-below-one",
-            "wave-ratio-nan", "wave-n2", "wave-branch-n0"])
+            "wave-ratio-nan", "wave-n2", "wave-branch-n0",
+            "simulate-gamma-1", "characteristics-gamma0"])
     def test_out_of_range_value(self, argv, message, tmp_path, capsys):
         code, out, err = run_cli(argv + ["--output-dir", str(tmp_path)],
                                  capsys)
@@ -168,6 +177,16 @@ class TestExitCodes:
         assert out == ""
         assert not out_dir.exists()
 
+    def test_numerical_failure_exits_two_with_its_summary(self, tmp_path,
+                                                          capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run_cli(
+                ["simulate", "--a", "1", "--n", "64", "--dt", "1",
+                 "--t-max", "20", "--output-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert json.loads(out)["terminated"] == "NumericalFailure"
+        assert (tmp_path / "summary.json").read_text() == out
+
     def test_config_key_of_another_command(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("a = 0.05\nn = 1024\n")
@@ -184,7 +203,35 @@ class TestExitCodes:
              "--output-dir", str(tmp_path)],
             capture_output=True, text=True)
         assert proc.returncode == 0
-        assert (tmp_path / "criteria.json").exists()
+        assert (tmp_path / "summary.json").exists()
+
+
+# each subcommand at toy size
+TOY_RUNS = {
+    "simulate": ["--n", "64", "--dt", "0.01", "--t-max", "0.05"],
+    "criteria": ["--a", "0.1"],
+    "characteristics": ["--n", "64", "--dt", "0.01", "--t-max", "0.05",
+                        "--n-xi", "8", "--sample-stride", "2"],
+    "wave": ["--n", "64"],
+    "scan": ["--a-count", "2", "--b-count", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOY_RUNS))
+def test_summary_json_is_what_is_printed(command, tmp_path, capsys):
+    code, out, _ = run_cli([command, *TOY_RUNS[command],
+                            "--output-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert [p.name for p in tmp_path.glob("*.json")] == ["summary.json"]
+    assert (tmp_path / "summary.json").read_text() == out
+
+
+def test_scan_defaults_are_scan_configs():
+    # the command and the library scan must step the same grid
+    cfg = _settings(build_parser().parse_args(["scan"]))
+    defaults = {f.name: f.default for f in dataclasses.fields(ScanConfig)
+                if f.default is not dataclasses.MISSING}
+    assert {key: cfg[key] for key in defaults} == defaults
 
 
 class TestPlotScripts:
@@ -228,7 +275,7 @@ class TestCriteriaCommand:
         assert payload["cond1"]["satisfied"] is True
         assert payload["cond2"]["satisfied"] is True
         assert payload["scalars"]["cube"] < 0
-        on_disk = json.loads((tmp_path / "criteria.json").read_text())
+        on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert on_disk == payload
 
     def test_flag_overrides_config(self, tmp_path, capsys):
@@ -244,7 +291,7 @@ class TestCriteriaCommand:
         monkeypatch.setenv("OHLAB_OUTPUT_DIR", str(tmp_path / "envout"))
         code, _, _ = run_cli(["criteria", "--a", "0.1"], capsys)
         assert code == 0
-        assert (tmp_path / "envout" / "criteria.json").exists()
+        assert (tmp_path / "envout" / "summary.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         d1, d2 = tmp_path / "one", tmp_path / "two"
@@ -252,8 +299,8 @@ class TestCriteriaCommand:
                  "--output-dir", str(d1)], capsys)
         run_cli(["criteria", "--a", "0.07", "--b", "0.01",
                  "--output-dir", str(d2)], capsys)
-        assert (d1 / "criteria.json").read_bytes() \
-            == (d2 / "criteria.json").read_bytes()
+        assert (d1 / "summary.json").read_bytes() \
+            == (d2 / "summary.json").read_bytes()
 
 
 class TestSimulateCommand:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ohlab.criteria import (LineData, all_reports, characteristics_criterion,
-                            cubic_criterion_one, cubic_criterion_two, find_t1,
-                            hunter_criterion, line_criterion)
-from ohlab.errors import (DegenerateData, NonZeroMean, NotApplicable,
-                          TailTooLarge)
+from ohlab.criteria import (CriterionReport, LineData, all_reports,
+                            characteristics_criterion, cubic_criterion_one,
+                            cubic_criterion_two, find_t1, hunter_criterion,
+                            line_criterion)
+from ohlab.errors import DegenerateData, NonZeroMean, TailTooLarge
 from ohlab.fourier import PeriodicField, PeriodicGrid, field_diagnostics
 from ohlab.initial import frequency_scaled, sampled_data, two_mode_quantities
 
@@ -129,8 +129,9 @@ class TestHunter:
             m ** 3 - 4.0 * d.sup_abs * (4.0 + m), rel=1e-14)
 
     def test_other_gamma_not_applicable(self):
-        with pytest.raises(NotApplicable):
-            hunter_criterion(two_mode_quantities(1.0, 1.0), gamma=2.0)
+        # the criterion is stated for gamma = 1 only
+        assert hunter_criterion(two_mode_quantities(1.0, 1.0), gamma=2.0) \
+            == CriterionReport("hunter", False, -math.inf)
 
     def test_zero_data(self):
         r = hunter_criterion(two_mode_quantities(0.0, 0.0))

@@ -18,6 +18,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(two_mode_quantities(0.1, 0.0), dt=0.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+    def test_nonpositive_gamma(self, gamma):
+        # with gamma < 0 the a-priori bound goes negative, and slope_verdict
+        # would call a healthy run that reaches stop_slope a failure
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            SimulationConfig(two_mode_quantities(0.1, 0.0), gamma=gamma)
+
     def test_positive_stop_slope(self):
         with pytest.raises(ValueError):
             SimulationConfig(two_mode_quantities(0.1, 0.0), stop_slope=1.0)

@@ -1,8 +1,8 @@
 """Static checks on the package source: exports that resolve, no stale
-imports, and one sampling loop.  The first two are what a deletion leaves
-behind, the last what a second copy of a loop brings back, so they are
-checked here with the standard library's `ast` rather than an external
-linter."""
+imports, one sampling loop and one report path.  The first two are what a
+deletion leaves behind, the last two what a second copy of a loop or of an
+emitter brings back, so they are checked here with the standard library's
+`ast` rather than an external linter."""
 import ast
 from pathlib import Path
 
@@ -75,3 +75,17 @@ def test_one_sampling_loop(name):
 def test_call_sites_are_counted():
     tree = ast.parse("march(1)\nev.march(2)\nmarch\nf(march)\n")
     assert call_sites(tree, "march") == 2
+
+
+def test_one_report_path():
+    # every subcommand returns its summary and `cli.dispatch` alone
+    # serialises, writes and prints it
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in SOURCES}
+    assert sum(call_sites(tree, "dump") + call_sites(tree, "dumps")
+               for tree in trees.values()) == 1
+    handlers = [node for node in ast.walk(trees["cli.py"])
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")]
+    assert len(handlers) == 5
+    assert [h.name for h in handlers if call_sites(h, "print")] == []
