@@ -8,14 +8,17 @@ flags.  A key the command does not read is a usage error, whether it is
 given as a flag or in the config file.  Outputs (CSV data plus small
 matplotlib plot scripts) land in output_dir, which defaults to
 $OHLAB_OUTPUT_DIR or the working directory.  Each handler returns its
-summary; `dispatch` writes it to summary.json and prints the same text.
-Exit status: 0 success, 1 usage error, 2 numerical failure.
+summary; `dispatch` writes it to summary.json as strict JSON (a non-finite
+number is null) and prints the same text.  Exit status: 0 success, 1 usage
+error (any ValueError: a float key that is nan or +-inf, a value out of
+range, a key the selected mode ignores), 2 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,7 +28,7 @@ import numpy as np
 from . import characteristics as chars
 from . import criteria as crit
 from . import evolution, scan as scan_mod, waves
-from .errors import InsufficientWindow, NoConvergence, OhlabError
+from .errors import NoConvergence
 from .evolution import SimulationConfig, Termination
 from .initial import two_mode_quantities
 
@@ -57,8 +60,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def finite(text: str) -> float:
+    """A float key's value; nan and +-inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _caster(default):
-    return _parse_bool if isinstance(default, bool) else type(default)
+    return {bool: _parse_bool, float: finite}.get(type(default),
+                                                  type(default))
 
 
 def _floats(text: str) -> tuple:
@@ -107,7 +119,7 @@ def _outdir(cfg) -> Path:
 def _sim_config(cfg, **extra) -> SimulationConfig:
     """The run's config; checks fit_depth too, so that a bad value fails
     before any step is taken or any file written."""
-    if cfg["fit_depth"] >= 0:
+    if not cfg["fit_depth"] < 0:
         raise ValueError("fit_depth must be negative")
     return SimulationConfig(
         initial=two_mode_quantities(cfg["a"], cfg["b"]), gamma=cfg["gamma"],
@@ -116,25 +128,21 @@ def _sim_config(cfg, **extra) -> SimulationConfig:
 
 
 def _fit_blowup(record, cfg, out: Path):
-    """The blow-up fit of a run that broke, with its rate products written to
-    out; None if the run did not break or its fit window is too short."""
-    if record.terminated is not Termination.SlopeBlowup:
-        return None
-    try:
-        est = evolution.estimate_blowup(record, fit_depth=cfg["fit_depth"])
-    except InsufficientWindow:
-        return None
-    chars.write_rate_products_csv(chars.rate_products(record, est),
-                                  out / "rate_products.csv")
-    _write_plot(out, "rate_products", "rate_products.csv", _RATE_PLOT)
+    """The blow-up fit of a run, with its rate products written to out; None
+    if the run did not break or its fit window is too short."""
+    est = evolution.estimate_blowup(record, fit_depth=cfg["fit_depth"])
+    if est is not None:
+        chars.write_rate_products_csv(chars.rate_products(record, est),
+                                      out / "rate_products.csv")
+        _write_plot(out, "rate_products", "rate_products.csv", _RATE_PLOT)
     return est
 
 
 def _cmd_simulate(cfg) -> dict:
     config = _sim_config(cfg, stride=cfg["stride"],
                          snapshot_times=_floats(cfg["snapshots"]))
-    out = _outdir(cfg)
     record = evolution.simulate(config)
+    out = _outdir(cfg)
     est = _fit_blowup(record, cfg, out)
     evolution.write_timeseries(record, out / "timeseries.csv")
     for t, f in record.snapshots.items():
@@ -155,9 +163,9 @@ def _cmd_criteria(cfg) -> dict:
 
 def _cmd_characteristics(cfg) -> dict:
     config = _sim_config(cfg)
-    out = _outdir(cfg)
     record, trace = chars.co_evolve(config, n_xi=cfg["n_xi"],
                                     sample_stride=cfg["sample_stride"])
+    out = _outdir(cfg)
     chars.write_ensemble_csv(trace, out / "ensemble.csv")
     return {
         **evolution.run_summary(record, _fit_blowup(record, cfg, out)),
@@ -170,17 +178,20 @@ def _cmd_characteristics(cfg) -> dict:
 
 def _cmd_wave(cfg) -> dict:
     """A non-empty branch_ratios sweeps the branch and writes its steepest
-    profile; else corner gives the corner wave, else one Newton solve."""
+    profile; else corner gives the corner wave, else one Newton solve at
+    c_over_gamma, the one mode that reads it."""
     gamma, n = cfg["gamma"], cfg["n"]
     ratios = _floats(cfg["branch_ratios"])
     if ratios and cfg["corner"]:
         raise ValueError("corner and branch_ratios select different wave "
                          "modes; give one of them")
-    out = _outdir(cfg)
+    if (ratios or cfg["corner"]) and \
+            cfg["c_over_gamma"] != COMMAND_KEYS["wave"]["c_over_gamma"]:
+        raise ValueError("c_over_gamma sets the single Newton solve; corner "
+                         "and branch_ratios do not read it")
     info = {}
     if ratios:
         profiles = waves.continuation_branch(gamma, ratios, n=n)
-        waves.write_branch_csv(profiles, out / "branch.csv")
         info = {"branch_points": len(profiles),
                 "max_residual": max(waves.ode_residual(w) for w in profiles)}
         w = max(profiles, key=lambda p: p.c)
@@ -192,6 +203,9 @@ def _cmd_wave(cfg) -> dict:
         w = waves.solve_periodic_wave(cfg["c_over_gamma"] * gamma, gamma,
                                       n=n)
         residual = waves.ode_residual(w)
+    out = _outdir(cfg)
+    if ratios:
+        waves.write_branch_csv(profiles, out / "branch.csv")
     waves.write_profile_csv(w, out / "wave.csv")
     _write_plot(out, "wave", "wave.csv", _WAVE_PLOT)
     return {**info, "c_over_gamma": w.c / w.gamma, "amplitude": w.amplitude,
@@ -199,11 +213,11 @@ def _cmd_wave(cfg) -> dict:
 
 
 def _cmd_scan(cfg) -> dict:
-    out = _outdir(cfg)
     sconf = scan_mod.ScanConfig(
         a_range=(cfg["a_min"], cfg["a_max"], cfg["a_count"]),
         b_range=(cfg["b_min"], cfg["b_max"], cfg["b_count"]),
         **{key: cfg[key] for key in _SCAN})
+    out = _outdir(cfg)
     result = scan_mod.scan(sconf)
     if cfg["criteria_only"]:
         csv = "region.csv"
@@ -308,6 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite_or_null(value):
+    """value with nan and +-inf floats replaced by None, so that the summary
+    is strict JSON (e.g. the margin -inf of a criterion that cannot hold)."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
@@ -317,16 +343,13 @@ def dispatch(argv) -> int:
     try:
         cfg = _settings(args)
         summary = _HANDLERS[args.command](cfg)
-        text = json.dumps(summary, indent=2)
+        text = json.dumps(_finite_or_null(summary), indent=2,
+                          allow_nan=False)
         (_outdir(cfg) / "summary.json").write_text(text + "\n")
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
-    except (ValueError, OhlabError) as exc:
-        if isinstance(exc, (NoConvergence,)):
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return 2
+    except NoConvergence as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, NonZeroMean, TailTooLarge
 from .fourier import PeriodicField, PeriodicGrid, field_diagnostics
 from .initial import InitialData
 
@@ -118,7 +117,7 @@ def find_t1(sup_abs: float, l2: float, gamma: float, epsilon: float) -> float:
     """Smallest positive root of 2*sqrt(gamma)*T1*sqrt(sup_abs + gamma*T1*l2)
     = log(1 + 2/epsilon)."""
     if sup_abs == 0.0 and l2 == 0.0:
-        raise DegenerateData("zero data has no bound time")
+        raise ValueError("zero data has no bound time")
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     return _bound_time((sup_abs, gamma * l2, 0.0), gamma,
@@ -192,13 +191,13 @@ def line_criterion(data: LineData, gamma: float) -> CriterionReport:
     tail = max(float(np.max(np.abs(vals[:edge]))),
                float(np.max(np.abs(vals[-edge:]))))
     if tail > 1e-10 * peak:
-        raise TailTooLarge(f"boundary tail {tail:.2e} vs peak {peak:.2e}")
+        raise ValueError(f"boundary tail {tail:.2e} vs peak {peak:.2e}")
 
     grid = PeriodicGrid(n, length=data.span)
     coeffs = PeriodicField(grid, values=vals).coefficients.copy()
     mass = float(np.real(coeffs[0])) / n * data.span
     if abs(mass) > 1e-10 * (data.span * peak + 1.0):
-        raise NonZeroMean(f"line data carries mass {mass:.2e}")
+        raise ValueError(f"line data carries mass {mass:.2e}")
     coeffs[0] = 0.0
     d = field_diagnostics(coeffs, grid, gamma)
 

@@ -1,34 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An OhlabError is a numerical failure of a computation whose inputs passed
+their checks; each subclass is caught where it is handled.  A bad input
+raises ValueError, and an outcome the paper allows for, such as a run that
+does not break, is a return value, not an exception.
+"""
 
 
 class OhlabError(Exception):
-    """Base class for all package-specific failures."""
-
-
-class NonZeroMean(OhlabError):
-    """Input field violates the zero-mass constraint required by the
-    mean-zero anti-derivative."""
+    """Base class for the package's numerical failures."""
 
 
 class NumericalFailure(OhlabError):
-    """A computation produced non-finite values."""
-
-
-class InsufficientWindow(OhlabError):
-    """Too few samples qualify for the blow-up regression window."""
-
-
-class DegenerateData(OhlabError):
-    """Initial data is identically zero where a positive norm is required."""
-
-
-class NegativeParameter(OhlabError):
-    """Closed forms for the two-mode family assume a, b >= 0."""
-
-
-class TailTooLarge(OhlabError):
-    """Line data does not decay at the truncation boundaries."""
+    """A computation produced non-finite values; `simulate` ends the run with
+    Termination.NumericalFailure."""
 
 
 class NoConvergence(OhlabError):
-    """Newton iteration failed to converge within the step-halving budget."""
+    """Newton iteration failed to converge within the step-halving budget;
+    the wave solvers fall back to continuation, and the CLI exits 2."""

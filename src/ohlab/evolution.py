@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientWindow, NumericalFailure
+from .errors import NumericalFailure
 from .fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
                       resize_coefficients)
 from .initial import InitialData
@@ -63,9 +63,9 @@ class SimulationConfig:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.dt <= 0 or self.t_max <= 0:
+        if not (0 < self.dt < np.inf and 0 < self.t_max < np.inf):
             raise ValueError("dt and t_max must be positive")
-        if self.stop_slope >= 0:
+        if not self.stop_slope < 0:
             raise ValueError("stop_slope must be negative")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
@@ -278,8 +278,10 @@ _FIT_START = 5.0   # the fit window opens at this multiple of min u0'
 
 
 def estimate_blowup(record: SimulationRecord,
-                    fit_depth: float = -6.0) -> BlowupEstimate:
-    """Least-squares line B + C t through y(t) = -1/min_ux(t).
+                    fit_depth: float = -6.0) -> BlowupEstimate | None:
+    """Least-squares line B + C t through y(t) = -1/min_ux(t), or None if
+    the run did not end in SlopeBlowup or its window holds fewer than 10
+    samples.  A fit_depth that is not negative raises ValueError.
 
     The window starts once the slope has steepened past _FIT_START times its
     initial minimum (the regression models an asymptotic law; early samples
@@ -289,16 +291,13 @@ def estimate_blowup(record: SimulationRecord,
     initial data whose start threshold already lies below fit_depth, the cap
     scales to twice the threshold instead so the window never comes up empty.
     """
-    if record.terminated is not Termination.SlopeBlowup:
-        raise InsufficientWindow(
-            f"run terminated with {record.terminated.value}, not SlopeBlowup")
-    if fit_depth >= 0:
+    if not fit_depth < 0:
         raise ValueError("fit_depth must be negative")
+    if record.terminated is not Termination.SlopeBlowup:
+        return None
     threshold = _FIT_START * min(float(record.min_ux[0]), 0.0)
     depth = min(fit_depth, 2.0 * threshold)
     mask = record.min_ux <= threshold
-    if not mask.any():
-        raise InsufficientWindow("slope never crossed the window threshold")
     first = int(np.argmax(mask))
     end = first
     while end < len(mask) and record.min_ux[end] <= threshold \
@@ -307,7 +306,7 @@ def estimate_blowup(record: SimulationRecord,
     t = record.times[first:end]
     y = -1.0 / record.min_ux[first:end]
     if len(t) < 10:
-        raise InsufficientWindow(f"only {len(t)} samples in the fit window")
+        return None
     (c, b), res, *_ = np.polyfit(t, y, 1, full=True)
     residual = float(np.sqrt(res[0])) if len(res) else 0.0
     return BlowupEstimate(b=float(b), c=float(c),

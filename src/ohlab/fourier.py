@@ -16,8 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonZeroMean
-
 
 @dataclass(frozen=True)
 class PeriodicGrid:
@@ -150,7 +148,7 @@ def mass_tolerance(f: PeriodicField) -> float:
 def _require_zero_mean(f: PeriodicField):
     m = f.mean * f.grid.length
     if abs(m) > mass_tolerance(f):
-        raise NonZeroMean(f"field mass {m:.3e} exceeds tolerance")
+        raise ValueError(f"field mass {m:.3e} exceeds tolerance")
 
 
 def spectral_derivative(f: PeriodicField) -> PeriodicField:

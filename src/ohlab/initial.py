@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeParameter
 from .fourier import PeriodicField, PeriodicGrid, field_diagnostics
 
 _QUAD_N = 4096  # sampling size used when scalars are computed by quadrature
@@ -94,8 +93,8 @@ def two_mode_max_slope(a: float, b: float) -> float:
 
 def two_mode_quantities(a: float, b: float) -> InitialData:
     """Closed-form scalars for u0 = a cos(2 pi x) + b sin(4 pi x), a, b >= 0."""
-    if a < 0 or b < 0:
-        raise NegativeParameter("two-mode closed forms assume a, b >= 0")
+    if not (a >= 0 and b >= 0):
+        raise ValueError("two-mode closed forms assume a, b >= 0")
 
     def fn(x, a=a, b=b):
         return a * np.cos(2 * np.pi * x) + b * np.sin(4 * np.pi * x)

@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import criteria as crit
-from .errors import InsufficientWindow
-from .evolution import (SimulationConfig, Termination, estimate_blowup,
-                        simulate)
+from .evolution import SimulationConfig, estimate_blowup, simulate
 from .initial import two_mode_quantities
 from .tables import write_csv
 
@@ -27,7 +25,8 @@ class ScanConfig:
     gamma: float = 1.0
     criteria_only: bool = True
     workers: int = 1
-    # per-point simulation settings, used when criteria_only is off
+    # per-point simulation settings: a criteria-only scan rejects any that
+    # differs from its default
     n: int = 1024
     dt: float = 1e-3
     t_max: float = 30.0
@@ -40,6 +39,12 @@ class ScanConfig:
                 raise ValueError(f"bad range {rng}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        stepping = [f.name for f in fields(self)
+                    if f.name in ("n", "dt", "t_max", "stop_slope")
+                    and getattr(self, f.name) != f.default]
+        if self.criteria_only and stepping:
+            raise ValueError(f"{', '.join(stepping)} only apply when "
+                             "criteria_only is false")
 
     def points(self):
         def axis(rng):
@@ -80,16 +85,10 @@ def _simulation_point(args) -> dict:
     config = SimulationConfig(initial=d, gamma=gamma, n=n, dt=dt,
                               t_max=t_max, stop_slope=stop_slope)
     record = simulate(config)
+    est = estimate_blowup(record)
     row["terminated"] = record.terminated.value
-    row["T_est"] = math.nan
-    row["C_est"] = math.nan
-    if record.terminated is Termination.SlopeBlowup:
-        try:
-            est = estimate_blowup(record)
-            row["T_est"] = est.t_blowup
-            row["C_est"] = est.c
-        except InsufficientWindow:
-            pass
+    row["T_est"] = math.nan if est is None else est.t_blowup
+    row["C_est"] = math.nan if est is None else est.c
     return row
 
 

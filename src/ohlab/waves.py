@@ -46,7 +46,7 @@ def _grid(n: int) -> np.ndarray:
 
 def corner_wave(gamma: float, n: int = 1024) -> WaveProfile:
     """The crest wave: (gamma/18)(3x^2 - pi^2) at c = pi^2 gamma / 9."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     x = _grid(n)
     phi = CORNER_COEFFICIENT * gamma * (3.0 * x * x - math.pi ** 2)
@@ -82,6 +82,9 @@ def ode_residual(w: WaveProfile, scheme: str = "spectral",
         jc = int(np.argmax(w.phi))
         dist = np.abs((np.arange(n) - jc + n // 2) % n - n // 2)
         r = r[dist > exclude_crest]
+        if not r.size:
+            raise ValueError(f"exclude_crest = {exclude_crest} leaves no "
+                             f"point of n = {n}")
     return float(np.max(np.abs(r)))
 
 

@@ -7,7 +7,7 @@ from ohlab.characteristics import (CharacteristicEnsemble, CoSteppingProvider,
                                    advance, co_evolve, diffeomorphism_check,
                                    rate_products, seed, write_ensemble_csv,
                                    write_rate_products_csv)
-from ohlab.errors import NonZeroMean, NumericalFailure
+from ohlab.errors import NumericalFailure
 from ohlab.evolution import (BlowupEstimate, SimulationConfig,
                              SimulationRecord, SpectralWorkspace, Termination,
                              march, simulate)
@@ -47,7 +47,7 @@ class TestSeed:
     def test_rejects_nonzero_mass(self):
         g = PeriodicGrid(64)
         u0 = PeriodicField.from_function(g, lambda x: 1.0 + np.cos(TWO_PI * x))
-        with pytest.raises(NonZeroMean):
+        with pytest.raises(ValueError, match="field mass .* exceeds tolerance"):
             seed(u0, 16)
 
 

@@ -47,6 +47,12 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="expected key = value"):
             read_config(p, SIMULATE)
 
+    def test_non_finite_value(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("t_max = inf\n")
+        with pytest.raises(ValueError, match="not a finite number: 'inf'"):
+            read_config(p, SIMULATE)
+
     def test_bad_bool(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("criteria_only = maybe\n")
@@ -134,18 +140,40 @@ class TestExitCodes:
          "gamma must be positive"),
         (["characteristics", "--gamma", "0", "--t-max", "0.05"],
          "gamma must be positive"),
+        (["criteria", "--a", "nan"],
+         "argument --a: invalid finite value: 'nan'"),
+        (["wave", "--corner", "true", "--gamma", "nan"],
+         "argument --gamma: invalid finite value: 'nan'"),
+        (["wave", "--corner", "true", "--n", "6"],
+         "exclude_crest = 4 leaves no point of n = 6"),
+        (["wave", "--corner", "true", "--n", "8"],
+         "exclude_crest = 4 leaves no point of n = 8"),
+        (["scan", "--a-count", "1", "--b-count", "1", "--n", "3", "--dt",
+          "5"], "n, dt only apply when criteria_only is false"),
+        (["wave", "--branch-ratios", "1.01,1.02", "--c-over-gamma", "1.07"],
+         "c_over_gamma sets the single Newton solve"),
+        (["wave", "--corner", "true", "--c-over-gamma", "1.07"],
+         "c_over_gamma sets the single Newton solve"),
     ], ids=["criteria-gamma0", "criteria-gamma-1", "scan-gamma0",
             "scan-gamma-1", "wave-gamma0", "wave-gamma-1",
             "characteristics-sample-stride0", "characteristics-n-xi0",
             "wave-ratio-above-crest", "wave-ratio-below-one",
             "wave-ratio-nan", "wave-n2", "wave-branch-n0",
-            "simulate-gamma-1", "characteristics-gamma0"])
+            "simulate-gamma-1", "characteristics-gamma0", "criteria-a-nan",
+            "wave-corner-gamma-nan", "wave-corner-n6", "wave-corner-n8",
+            "scan-criteria-only-n-dt", "wave-branch-c-over-gamma",
+            "wave-corner-c-over-gamma"])
     def test_out_of_range_value(self, argv, message, tmp_path, capsys):
+        # criteria-a-nan failed on an empty search, wave-corner-gamma-nan
+        # exited 0 with a nan profile, wave-corner-n6 and -n8 failed in
+        # numpy's max of an empty array, and the last three exited 0 with a
+        # key that their mode does not read
         code, out, err = run_cli(argv + ["--output-dir", str(tmp_path)],
                                  capsys)
         assert code == 1
         assert f"error: {message}" in err
         assert out == ""
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--t-max", "0.05", "--fit-depth", "1"],
@@ -160,14 +188,24 @@ class TestExitCodes:
          "snapshot time 7 outside [0, t_max]"),
         (["simulate", "--t-max", "0.05", "--snapshots", "nan"],
          "snapshot time nan outside [0, t_max]"),
+        (["simulate", "--t-max", "inf"],
+         "argument --t-max: invalid finite value: 'inf'"),
+        (["simulate", "--t-max", "0.05", "--stop-slope", "nan"],
+         "argument --stop-slope: invalid finite value: 'nan'"),
+        (["simulate", "--a", "0.2", "--dt", "0.002", "--t-max", "3",
+          "--stop-slope", "-30", "--fit-depth", "nan"],
+         "argument --fit-depth: invalid finite value: 'nan'"),
     ], ids=["simulate-fit-depth-horizon", "simulate-fit-depth-breaking",
             "characteristics-fit-depth", "snapshot-negative",
-            "snapshot-past-t-max", "snapshot-nan"])
+            "snapshot-past-t-max", "snapshot-nan", "simulate-t-max-inf",
+            "simulate-stop-slope-nan", "simulate-fit-depth-nan"])
     def test_rejected_before_stepping(self, argv, message, tmp_path,
                                       capsys):
         # these ran to the end first: a bad fit_depth passed unread on a run
         # that did not break, and a bad snapshot time was dropped or stored
-        # under a time the field was not taken at
+        # under a time the field was not taken at; t_max = inf overflowed
+        # after making out_dir, stop_slope = nan stopped at the first step
+        # as SlopeBlowup, and fit_depth = nan dropped the fit
         out_dir = tmp_path / "out"
         code, out, err = run_cli(argv + ["--n", "256",
                                          "--output-dir", str(out_dir)],
@@ -206,24 +244,33 @@ class TestExitCodes:
         assert (tmp_path / "summary.json").exists()
 
 
-# each subcommand at toy size
+# each subcommand at toy size, and a criteria run whose margins are -inf
 TOY_RUNS = {
-    "simulate": ["--n", "64", "--dt", "0.01", "--t-max", "0.05"],
-    "criteria": ["--a", "0.1"],
-    "characteristics": ["--n", "64", "--dt", "0.01", "--t-max", "0.05",
-                        "--n-xi", "8", "--sample-stride", "2"],
-    "wave": ["--n", "64"],
-    "scan": ["--a-count", "2", "--b-count", "2"],
+    "simulate": ["simulate", "--n", "64", "--dt", "0.01", "--t-max", "0.05"],
+    "criteria": ["criteria", "--a", "0.1"],
+    "characteristics": ["characteristics", "--n", "64", "--dt", "0.01",
+                        "--t-max", "0.05", "--n-xi", "8",
+                        "--sample-stride", "2"],
+    "wave": ["wave", "--n", "64"],
+    "scan": ["scan", "--a-count", "2", "--b-count", "2"],
+    "criteria-zero-data": ["criteria", "--a", "0", "--b", "0", "--gamma",
+                           "2"],
 }
 
 
-@pytest.mark.parametrize("command", sorted(TOY_RUNS))
-def test_summary_json_is_what_is_printed(command, tmp_path, capsys):
-    code, out, _ = run_cli([command, *TOY_RUNS[command],
-                            "--output-dir", str(tmp_path)], capsys)
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("run", sorted(TOY_RUNS))
+def test_summary_json_is_what_is_printed(run, tmp_path, capsys):
+    code, out, _ = run_cli([*TOY_RUNS[run], "--output-dir", str(tmp_path)],
+                           capsys)
     assert code == 0
     assert [p.name for p in tmp_path.glob("*.json")] == ["summary.json"]
     assert (tmp_path / "summary.json").read_text() == out
+    # strict JSON: a non-finite number is written as null
+    json.loads(out, parse_constant=reject_constant)
 
 
 def test_scan_defaults_are_scan_configs():
@@ -430,10 +477,13 @@ class TestScanCommand:
     @pytest.mark.parametrize("criteria_only", ["true", "false"])
     def test_plot_script_reads_the_written_table(self, criteria_only,
                                                  tmp_path, capsys):
+        # a criteria-only scan steps nothing, so it takes no step settings
+        stepping = ["--n", "64", "--dt", "0.01", "--t-max", "0.05"] \
+            if criteria_only == "false" else []
         code, _, _ = run_cli(
             ["scan", "--a-min", "0.05", "--a-count", "1", "--b-count", "1",
-             "--criteria-only", criteria_only, "--n", "64", "--dt", "0.01",
-             "--t-max", "0.05", "--output-dir", str(tmp_path)], capsys)
+             "--criteria-only", criteria_only, *stepping,
+             "--output-dir", str(tmp_path)], capsys)
         assert code == 0
         script = (tmp_path / "plot_region.py").read_text()
         name = re.search(r'genfromtxt\("([^"]+)"', script).group(1)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ohlab.characteristics import co_evolve
-from ohlab.errors import InsufficientWindow
 from ohlab.evolution import (SimulationConfig, SimulationRecord,
                              SpectralWorkspace, Termination, estimate_blowup,
                              march, run_summary, simulate, write_timeseries)
@@ -28,6 +27,17 @@ class TestConfigValidation:
     def test_positive_stop_slope(self):
         with pytest.raises(ValueError):
             SimulationConfig(two_mode_quantities(0.1, 0.0), stop_slope=1.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt", float("nan")), ("dt", float("inf")),
+        ("t_max", float("nan")), ("t_max", float("inf")),
+        ("stop_slope", float("nan")),
+    ])
+    def test_non_finite_setting(self, key, value):
+        # t_max = inf overflowed in the step count; stop_slope = nan stopped
+        # every run at its first step as SlopeBlowup
+        with pytest.raises(ValueError, match="must be"):
+            SimulationConfig(two_mode_quantities(0.1, 0.0), **{key: value})
 
     def test_bad_stride(self):
         with pytest.raises(ValueError):
@@ -318,17 +328,22 @@ class TestEstimator:
         assert est.window[1] <= 2.0 - 1.0 / 6.0 + 0.011
 
     def test_horizon_run_rejected(self, control_run):
-        with pytest.raises(InsufficientWindow):
-            estimate_blowup(control_run)
+        assert estimate_blowup(control_run) is None
 
     def test_short_window_rejected(self):
         rec = self.synthetic_record(dt=0.05)
-        with pytest.raises(InsufficientWindow):
-            estimate_blowup(rec)
+        assert estimate_blowup(rec) is None
 
     def test_bad_depth_rejected(self):
         with pytest.raises(ValueError):
             estimate_blowup(self.synthetic_record(), fit_depth=1.0)
+
+    def test_nan_depth_rejected(self, control_run):
+        # checked before the verdict: a nan depth used to drop the fit
+        with pytest.raises(ValueError, match="fit_depth must be negative"):
+            estimate_blowup(self.synthetic_record(), fit_depth=float("nan"))
+        with pytest.raises(ValueError, match="fit_depth must be negative"):
+            estimate_blowup(control_run, fit_depth=0.0)
 
     def test_steep_data_depth_scales(self):
         # start threshold below the default cap: the window must still open

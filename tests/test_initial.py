@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ohlab.errors import NegativeParameter
 from ohlab.fourier import PeriodicGrid
 from ohlab.initial import (frequency_scaled, sampled_data, two_mode_max,
                            two_mode_max_slope, two_mode_quantities)
@@ -47,10 +46,14 @@ class TestClosedForms:
         assert d.cube == pytest.approx(-12 * np.pi ** 3, rel=1e-12)
 
     def test_rejects_negative_parameters(self):
-        with pytest.raises(NegativeParameter):
+        with pytest.raises(ValueError, match="assume a, b >= 0"):
             two_mode_quantities(-0.1, 0.0)
-        with pytest.raises(NegativeParameter):
+        with pytest.raises(ValueError, match="assume a, b >= 0"):
             two_mode_quantities(0.0, -1e-8)
+        # nan used to pass, and the criteria failed on an empty search
+        for a, b in ((float("nan"), 0.0), (0.1, float("nan"))):
+            with pytest.raises(ValueError, match="assume a, b >= 0"):
+                two_mode_quantities(a, b)
 
     @given(params, params)
     def test_matches_quadrature(self, a, b):

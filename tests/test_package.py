@@ -1,8 +1,9 @@
 """Static checks on the package source: exports that resolve, no stale
-imports, one sampling loop and one report path.  The first two are what a
-deletion leaves behind, the last two what a second copy of a loop or of an
-emitter brings back, so they are checked here with the standard library's
-`ast` rather than an external linter."""
+imports, one sampling loop, one report path and no exception class that
+nothing catches.  The first two are what a deletion leaves behind, the
+next two what a second copy of a loop or of an emitter brings back, and the
+last a bespoke class for what is a plain ValueError, so they are checked
+here with the standard library's `ast` rather than an external linter."""
 import ast
 from pathlib import Path
 
@@ -89,3 +90,30 @@ def test_one_report_path():
                 and node.name.startswith("_cmd_")]
     assert len(handlers) == 5
     assert [h.name for h in handlers if call_sites(h, "print")] == []
+
+
+def caught_names(tree):
+    """Exception names that the module's except clauses name."""
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler) and handler.type
+            for node in ast.walk(handler.type)}
+
+
+def test_caught_names_are_found():
+    tree = ast.parse("try:\n    f()\nexcept (A, m.B):\n    pass\n"
+                     "except C as e:\n    pass\nexcept:\n    pass\n")
+    assert caught_names(tree) >= {"A", "B", "C"}
+
+
+def test_every_package_error_is_caught():
+    # an OhlabError is a numerical failure that a caller handles; bad input
+    # is a ValueError and needs no class of its own
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in SOURCES}
+    defined = {node.name for node in trees["errors.py"].body
+               if isinstance(node, ast.ClassDef)
+               and any(getattr(base, "id", None) == "OhlabError"
+                       for base in node.bases)}
+    caught = set().union(*map(caught_names, trees.values()))
+    assert defined and sorted(defined - caught) == []

@@ -50,12 +50,21 @@ class TestCornerWave:
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
             corner_wave(gamma=0.0)
+        # nan used to give a profile of nan
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            corner_wave(gamma=float("nan"))
 
 
 class TestOdeResidual:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             ode_residual(corner_wave(1.0), scheme="upwind")
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_crest_exclusion_leaves_no_point(self, n):
+        # used to fail in numpy's max of an empty array
+        with pytest.raises(ValueError, match="leaves no point"):
+            ode_residual(corner_wave(1.0, n=n), scheme="fd", exclude_crest=4)
 
     def test_expansion_residual_quadratic_in_gap(self):
         # the third-order expansion misses the equation at O((s-1)^2),
