@@ -283,11 +283,16 @@ def estimate_blowup(record: SimulationRecord,
     the run did not end in SlopeBlowup or its window holds fewer than 10
     samples.  A fit_depth that is not negative raises ValueError.
 
+    Each sample is weighted by its trapezoid share of the window, so the
+    fit approximates the L2 fit over the window's time span whatever the
+    sample lattice, and `residual` is the root of the weighted sum of
+    squared residuals, ~ the L2 norm of y - (B + C t) over the window.
+
     The window starts once the slope has steepened past _FIT_START times its
     initial minimum (the regression models an asymptotic law; early samples
     bias C) and is capped at fit_depth: past that depth the steepening front
     is thinner than a few grid cells and recorded minima flatten into a
-    resolution artifact that would dominate an equal-weight fit.  For steep
+    resolution artifact that would dominate the fit.  For steep
     initial data whose start threshold already lies below fit_depth, the cap
     scales to twice the threshold instead so the window never comes up empty.
     """
@@ -307,7 +312,10 @@ def estimate_blowup(record: SimulationRecord,
     y = -1.0 / record.min_ux[first:end]
     if len(t) < 10:
         return None
-    (c, b), res, *_ = np.polyfit(t, y, 1, full=True)
+    # trapezoid weights: half the sum of each sample's two neighbouring gaps
+    gaps = np.diff(t, prepend=t[0], append=t[-1])
+    weights = 0.5 * (gaps[:-1] + gaps[1:])
+    (c, b), res, *_ = np.polyfit(t, y, 1, w=np.sqrt(weights), full=True)
     residual = float(np.sqrt(res[0])) if len(res) else 0.0
     return BlowupEstimate(b=float(b), c=float(c),
                           window=(float(t[0]), float(t[-1])),

@@ -320,6 +320,21 @@ class TestEstimator:
         assert est.t_blowup == pytest.approx(2.0, abs=1e-9)
         assert est.residual < 1e-9
 
+    def test_fit_does_not_depend_on_the_lattice(self):
+        # y = -1/min_ux is curved, so an equal-weight fit leans toward the
+        # densely sampled part of the window (B 2.1356 against 2.1665)
+        def fit(times):
+            rec = self.synthetic_record()
+            y = 2.0 - times + 0.5 * (times - 1.7) ** 2
+            rec.times, rec.min_ux = times, -1.0 / y
+            return estimate_blowup(rec)
+
+        uniform = fit(np.arange(0.0, 1.95, 1e-3))
+        mixed = fit(np.concatenate([np.arange(0.0, 1.7, 4e-3),
+                                    np.arange(1.7, 1.95, 1e-3)]))
+        assert abs(mixed.b - uniform.b) < 2e-3
+        assert abs(mixed.c - uniform.c) < 1e-3
+
     def test_window_respects_threshold_and_depth(self):
         rec = self.synthetic_record()
         est = estimate_blowup(rec)
