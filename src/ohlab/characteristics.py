@@ -12,10 +12,11 @@ ensemble is its rider: `co_evolve` is `simulate` with an `EnsembleRider`,
 which is told of every PDE step, steps the ensemble over it, asks for a
 sample when min V first reaches stop_slope, and lets the verdict judge the
 steeper of min V and the grid's min u_x.  So the ensemble takes the steps
-of `simulate`, on the same grid ladder, and shares its sampling, verdict
-and record.  The ensemble's mid-step RK4 stages take G from the cubic
-Hermite interpolant of the step's two ends (Hairer, Norsett & Wanner,
-Solving ODEs I, II.6), fourth-order in dt like the RK4 step.
+of `simulate`, on the same grid ladder and at the same lengths, and shares
+its sampling, verdict and record.  The ensemble's mid-step RK4 stages take
+G from the cubic Hermite interpolant of the step's two ends (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6), fourth-order in the step length
+like the RK4 step.
 """
 from __future__ import annotations
 
@@ -51,31 +52,32 @@ def seed(u0: PeriodicField, n_xi: int) -> CharacteristicEnsemble:
 
 class CoSteppingProvider:
     """Supplies u and G = dx^-1 u over one PDE step at a time, fed the steps
-    of a march at step dt.
+    of a march.
 
-    After `advance_to(i, t, coeffs, rung, tendency)`, `u` is the state after
-    step i, labelled t, and `g` holds G at the start, the midpoint and the
-    end of step i, on the rung of its end.  The midpoint is the cubic
-    Hermite interpolant of the ends, (g0 + g1)/2 + dt/8 (g0' - g1') with
-    g' = dx^-1 u_t; a rung climb inside the step first zero-pads the start,
-    which is exact.  The march pins mode 0, so G and g' are its coefficients
-    and its tendency times the antiderivative multiplier.  At step 0 all
-    three are G of the initial state.
+    After `advance_to(i, t, h, coeffs, rung, tendency)`, `u` is the state
+    after step i, labelled t, `h` is the step's length, and `g` holds G at
+    the start, the midpoint and the end of step i, on the rung of its end.
+    The midpoint is the cubic Hermite interpolant of the ends, (g0 + g1)/2 +
+    h/8 (g0' - g1') with g' = dx^-1 u_t; a rung climb inside the step first
+    zero-pads the start, which is exact.  The march pins mode 0, so G and g'
+    are its coefficients and its tendency times the antiderivative
+    multiplier.  At step 0 all three are G of the initial state.
     """
 
-    def __init__(self, gamma: float, dt: float):
-        self.gamma, self.dt = gamma, dt
+    def __init__(self, gamma: float):
+        self.gamma = gamma
 
-    def advance_to(self, i: int, t: float, coeffs: np.ndarray,
+    def advance_to(self, i: int, t: float, h: float, coeffs: np.ndarray,
                    rung: PeriodicGrid, tendency: np.ndarray):
         """Take march step i, which `march` yields as these arguments."""
-        self.t, self.u = t, PeriodicField(rung, coefficients=coeffs)
+        self.t, self.h = t, h
+        self.u = PeriodicField(rung, coefficients=coeffs)
         a = rung.antideriv_multiplier
         g1, d1 = coeffs * a, tendency * a
         g0, d0 = self._end if i else (g1, d1)
         if len(g0) < len(g1):
             g0, d0 = (resize_coefficients(c, rung.n) for c in (g0, d0))
-        mid = 0.5 * (g0 + g1) + (0.125 * self.dt) * (d0 - d1)
+        mid = 0.5 * (g0 + g1) + (0.125 * h) * (d0 - d1)
         self.g = [PeriodicField(rung, coefficients=c) for c in (g0, mid, g1)]
         self._end = g1, d1
 
@@ -83,10 +85,10 @@ class CoSteppingProvider:
 def advance(ens: CharacteristicEnsemble,
             provider: CoSteppingProvider) -> CharacteristicEnsemble:
     """One RK4 step of y = [X, U, V] over the provider's latest PDE step,
-    with the provider's dt and gamma.  Raises NumericalFailure if the new
-    ensemble is not finite."""
+    with that step's length h and the provider's gamma.  Raises
+    NumericalFailure if the new ensemble is not finite."""
     g0, g_mid, g1 = provider.g
-    h, gamma = provider.dt, provider.gamma
+    h, gamma = provider.h, provider.gamma
 
     def slope(g, y):
         x, u, v = y
@@ -144,13 +146,13 @@ class EnsembleRider:
     sample adds a row to the trace and returns the polished min V."""
 
     def __init__(self, config: SimulationConfig, n_xi: int):
-        self.provider = CoSteppingProvider(config.gamma, config.dt)
+        self.provider = CoSteppingProvider(config.gamma)
         self.ens = seed(config.initial.sample(PeriodicGrid(config.n)), n_xi)
         self.stop_slope = config.stop_slope
         self.rows = []
 
-    def advance_to(self, i, t, coeffs, rung, tendency) -> bool:
-        self.provider.advance_to(i, t, coeffs, rung, tendency)
+    def advance_to(self, i, t, h, coeffs, rung, tendency) -> bool:
+        self.provider.advance_to(i, t, h, coeffs, rung, tendency)
         if i > 0:
             self.ens = advance(self.ens, self.provider)
         return bool(np.min(self.ens.v) <= self.stop_slope)
@@ -176,9 +178,10 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
     """Run the PDE and an ensemble side by side: `simulate` at stride =
     sample_stride with an `EnsembleRider`, plus the rider's trace.
 
-    The PDE and the ensemble both march at config.dt, one PDE step per
-    ensemble step, step i labelled t = i*dt.  Diagnostics are recorded
-    every sample_stride steps, at the last step, and at the step where min
+    The PDE and the ensemble take the same steps, one PDE step per ensemble
+    step: `simulate`'s march, at config.dt on the config grid and at
+    dt*n/m on a coarser rung m.  Diagnostics are recorded every
+    sample_stride march steps, at the last step, and at the step where min
     V first reaches stop_slope; each sample is judged by `slope_verdict` on
     the steeper of min V and the grid's min u_x.  The record is
     `simulate`'s, snapshots and final field included, and its config has

@@ -92,7 +92,10 @@ def read_config(path: str, keys: dict) -> dict:
             key, value = key.strip(), value.strip()
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _caster(keys[key])(value)
+            try:
+                out[key] = _caster(keys[key])(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -217,8 +220,8 @@ def _cmd_scan(cfg) -> dict:
         a_range=(cfg["a_min"], cfg["a_max"], cfg["a_count"]),
         b_range=(cfg["b_min"], cfg["b_max"], cfg["b_count"]),
         **{key: cfg[key] for key in _SCAN})
-    out = _outdir(cfg)
     result = scan_mod.scan(sconf)
+    out = _outdir(cfg)
     if cfg["criteria_only"]:
         csv = "region.csv"
         scan_mod.write_region_csv(result, out / csv)

@@ -24,7 +24,10 @@ top eighth of its modes exceeds that level.  The spectrum of an analytic
 field decays exponentially, so the top of the band is where a grid that is
 too coarse shows first (Sulem, Sulem & Frisch, J. Comput. Phys. 50:138,
 1983).  The ladder never shrinks and never passes n, so a run with n <= 256
-never leaves its grid.  Samples are taken on the current rung; snapshots
+never leaves its grid.  dt is the step on the config grid; a rung of m
+points steps at dt*n/m, which keeps the finest rung's CFL number
+h*pi*m*sup|u|, and time is counted in steps of dt so that every label is an
+exact multiple of it.  Samples are taken on the current rung; snapshots
 and the final field are emitted on the config grid, and the record lists
 every rung with the time the run reached it.
 """
@@ -49,6 +52,20 @@ class Termination(enum.Enum):
     NumericalFailure = "NumericalFailure"
 
 
+def check_stepping(gamma: float, n: int, dt: float, t_max: float,
+                   stop_slope: float):
+    """Raise ValueError for settings no run can step with: gamma must be
+    positive, n a power of two >= 8, dt and t_max positive and finite, and
+    stop_slope negative."""
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    PeriodicGrid(n)
+    if not (0 < dt < np.inf and 0 < t_max < np.inf):
+        raise ValueError("dt and t_max must be positive")
+    if not stop_slope < 0:
+        raise ValueError("stop_slope must be negative")
+
+
 @dataclass
 class SimulationConfig:
     initial: InitialData
@@ -61,12 +78,8 @@ class SimulationConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not (0 < self.dt < np.inf and 0 < self.t_max < np.inf):
-            raise ValueError("dt and t_max must be positive")
-        if not self.stop_slope < 0:
-            raise ValueError("stop_slope must be negative")
+        check_stepping(self.gamma, self.n, self.dt, self.t_max,
+                       self.stop_slope)
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
         for t in self.snapshot_times:
@@ -165,16 +178,23 @@ def _resolves(coeffs: np.ndarray, m: int) -> bool:
 
 
 def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
-          n_steps: int | None = None, *, grids: list):
-    """Yield (i, t, coeffs, rung, tendency) after RK4 step i = 0, 1, ...,
-    n_steps (no end if n_steps is None): t = i*dt, coeffs on the grid `rung`
-    and rhs(coeffs) there, which is also the next step's first RK4 stage.
+          n_steps: int | None = None, *, grids: list, stops=()):
+    """Yield (i, t, h, coeffs, rung, tendency) after march step i = 0, 1,
+    ...: h is the step's length (0 at i = 0), t the time it reached, coeffs
+    on the grid `rung`, and rhs(coeffs) there, which is also the next step's
+    first RK4 stage.
 
     coeffs are on `grid`, the finest rung of the ladder; the march starts
     on the smallest rung that resolves them and climbs one rung, by exact
     zero-padding, after any step that leaves the top eighth of the modes
     unresolved.  Mode 0 and the Nyquist mode are pinned to zero.  Each rung
     reached is appended to the caller's list `grids` as (t, n).
+
+    Time is counted in steps of dt on `grid`.  A step on rung m spans
+    grid.n/m of them, h = dt*grid.n/m, which keeps the CFL number of the
+    finest rung, and t = I*dt for the integer count I.  The march ends at
+    I = n_steps (no end if n_steps is None); the one step that would pass
+    n_steps or a count in `stops` is shortened to land on it.
 
     Yielded arrays are never modified afterwards.  Raises NumericalFailure
     at the first step whose coefficients are not all finite.
@@ -191,17 +211,29 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
 
     ws, coeffs = climb(0.0, coeffs, m)
     tendency = ws.rhs(coeffs, gamma)
-    yield 0, 0.0, coeffs, ws.grid, tendency
-    for i in itertools.count(1) if n_steps is None else range(1, n_steps + 1):
-        coeffs = ws.rk4_step(coeffs, dt, gamma, tendency)
+    yield 0, 0.0, 0.0, coeffs, ws.grid, tendency
+    # the counts to land on, in order; n_steps is the last one reached
+    marks = sorted({*stops, n_steps} - {None, 0})
+    count = 0
+    for i in itertools.count(1):
+        if count == n_steps:
+            return
+        span = grid.n // m
+        if marks:
+            span = min(span, marks[0] - count)
+        h = span * dt
+        coeffs = ws.rk4_step(coeffs, h, gamma, tendency)
+        count += span
+        if marks and marks[0] == count:
+            marks.pop(0)
         if not np.all(np.isfinite(coeffs)):
             raise NumericalFailure(f"non-finite coefficients at step {i}")
         if m < grid.n and not _resolves(coeffs, m):
             # one doubling always suffices: the padded top eighth is zero
             m *= 2
-            ws, coeffs = climb(i * dt, coeffs, m)
+            ws, coeffs = climb(count * dt, coeffs, m)
         tendency = ws.rhs(coeffs, gamma)
-        yield i, i * dt, coeffs, ws.grid, tendency
+        yield i, count * dt, h, coeffs, ws.grid, tendency
 
 
 def slope_verdict(config: SimulationConfig, t: float, min_slope: float,
@@ -220,39 +252,43 @@ def slope_verdict(config: SimulationConfig, t: float, min_slope: float,
 def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     """Integrate until the horizon, slope blow-up, or numerical failure.
 
-    Diagnostics are sampled every `stride` steps and at the last step, on
-    the current rung's grid; each sample after t = 0 is judged by
-    `slope_verdict`.  Snapshots are checked after every step and hold the
-    first state within dt/2 of their time.  Snapshots and the final field
-    are on the config grid.  The Q and E drifts are relative to the t = 0
-    sample.
+    The march steps at config.dt on the config grid and at dt*n/m on a
+    coarser rung m, and lands on t_max and on every snapshot time, each
+    taken at the nearest multiple of dt.  Diagnostics are sampled every
+    `stride` march steps and at the last step, on the current rung's grid;
+    each sample after t = 0 is judged by `slope_verdict`.  Snapshots and the
+    final field are on the config grid.  The Q and E drifts are relative to
+    the t = 0 sample.
 
-    A rider, if given, rides the march: `rider.advance_to(i, t, coeffs,
-    rung, tendency)` is called after every step, before its snapshots, and
-    a true return asks for a sample at that step; at every sample,
-    `rider.sample(t)` returns a slope minimum, and the verdict judges the
-    steeper of it and the grid's.  NumericalFailure raised by the rider
-    ends the run like the march's own.
+    A rider, if given, rides the march: `rider.advance_to(i, t, h, coeffs,
+    rung, tendency)` is called with every step `march` yields, before its
+    snapshots, and a true return asks for a sample at that step; at every
+    sample, `rider.sample(t)` returns a slope minimum, and the verdict
+    judges the steeper of it and the grid's.  NumericalFailure raised by
+    the rider ends the run like the march's own.
     """
     grid = PeriodicGrid(config.n)
     n_steps = int(round(config.t_max / config.dt))
+    # each snapshot time's count of dt, and the time the march lands there
+    marks = {t: int(round(t / config.dt)) for t in config.snapshot_times}
+    snap_left = sorted((k * config.dt, t) for t, k in marks.items())
+    t_end = n_steps * config.dt
     times, samples, snapshots, grids = [], [], {}, []
     steps = march(grid, config.initial.sample(grid).coefficients, config.dt,
-                  config.gamma, n_steps, grids=grids)
+                  config.gamma, n_steps, grids=grids, stops=marks.values())
 
     def on_grid(coeffs):
         return PeriodicField(grid, coefficients=resize_coefficients(
             coeffs, config.n))
 
-    snap_left = sorted(config.snapshot_times)
     terminated = Termination.Horizon
     try:
-        for i, t, coeffs, rung, tendency in steps:
-            asked = rider is not None and rider.advance_to(i, t, coeffs, rung,
-                                                           tendency)
-            while snap_left and t >= snap_left[0] - 0.5 * config.dt:
-                snapshots[snap_left.pop(0)] = on_grid(coeffs)
-            if i % config.stride == 0 or i == n_steps or asked:
+        for step in steps:
+            i, t, _, coeffs, rung, _ = step
+            asked = rider is not None and rider.advance_to(*step)
+            while snap_left and t >= snap_left[0][0]:
+                snapshots[snap_left.pop(0)[1]] = on_grid(coeffs)
+            if i % config.stride == 0 or t == t_end or asked:
                 d = field_diagnostics(coeffs, rung, config.gamma)
                 times.append(t)
                 samples.append(d)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import criteria as crit
-from .evolution import SimulationConfig, estimate_blowup, simulate
+from .evolution import (SimulationConfig, check_stepping, estimate_blowup,
+                        simulate)
 from .initial import two_mode_quantities
 from .tables import write_csv
 
@@ -45,6 +46,10 @@ class ScanConfig:
         if self.criteria_only and stepping:
             raise ValueError(f"{', '.join(stepping)} only apply when "
                              "criteria_only is false")
+        if not self.criteria_only:
+            # every point steps with these settings: check them once, here
+            check_stepping(self.gamma, self.n, self.dt, self.t_max,
+                           self.stop_slope)
 
     def points(self):
         def axis(rng):

@@ -221,6 +221,8 @@ def _check_inputs(gamma: float, n: int, ratios: list) -> None:
         raise ValueError("gamma must be positive")
     if n < 4:
         raise ValueError(f"n = {n} retains no Fourier mode; need n >= 4")
+    if n % 2 or n < 6:
+        raise ValueError(f"n = {n} holds no wave; need an even n >= 6")
     if not ratios:
         raise ValueError("no speed ratios given")
     for s in ratios:

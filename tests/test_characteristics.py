@@ -22,11 +22,11 @@ def zero_field(n=64):
     return PeriodicField(g, values=np.zeros(n))
 
 
-def fed_provider(u0, gamma, dt, grids=None):
+def fed_provider(u0, gamma, dt, grids=None, n_steps=None):
     """A provider fed step 0 of u0's march, and the march for the rest."""
-    steps = march(u0.grid, u0.coefficients, dt, gamma,
+    steps = march(u0.grid, u0.coefficients, dt, gamma, n_steps,
                   grids=[] if grids is None else grids)
-    provider = CoSteppingProvider(gamma, dt)
+    provider = CoSteppingProvider(gamma)
     provider.advance_to(*next(steps))
     return provider, steps
 
@@ -76,37 +76,43 @@ class TestProvider:
         # starting rung, and the fields are on the current rung's grid
         grid = PeriodicGrid(1024)
         u0 = two_mode_quantities(0.5, 0.0).sample(grid)
-        grids = []
-        provider, steps = fed_provider(u0, 1.0, 5e-4, grids)
-        for _ in range(500):
-            provider.advance_to(*next(steps))
+        grids, lengths = [], []
+        provider, steps = fed_provider(u0, 1.0, 2.5e-4, grids, n_steps=1000)
+        for step in steps:
+            provider.advance_to(*step)
+            lengths.append(provider.h)
         assert grids[0] == (0.0, 256) and len(grids) >= 2
         assert provider.t == 0.25
+        # a step on the 256 rung spans 4 steps of dt, on the 512 rung 2
+        assert lengths[0] == 4 * 2.5e-4 and len(lengths) < 500
         assert all(f.grid.n == grids[-1][1]
                    for f in (provider.u, *provider.g))
         ws = SpectralWorkspace(grid)
         c = u0.coefficients.copy()
-        for _ in range(500):
-            c = ws.rk4_step(c, 5e-4, 1.0)
+        for h in lengths:
+            c = ws.rk4_step(c, h, 1.0)
         x = np.linspace(0.0, 1.0, 97)
         fixed = PeriodicField(grid, coefficients=c)
         assert np.max(np.abs(provider.u.evaluate(x)
                              - fixed.evaluate(x))) <= 1e-13
 
     @staticmethod
-    def midpoint_error(dt):
+    def midpoint_error(h):
         """sup|G| error of the Hermite midpoint over the step that climbs
-        the first rung, against a dt/2 RK4 step on the fixed 1024 grid."""
+        the first rung, a step of length h, against an h/2 RK4 step on the
+        fixed 1024 grid."""
         grid = PeriodicGrid(1024)
         grids = []
+        # the 256 rung steps at 4 dt
         provider, steps = fed_provider(
-            two_mode_quantities(0.5, 0.0).sample(grid), 1.0, dt, grids)
+            two_mode_quantities(0.5, 0.0).sample(grid), 1.0, h / 4, grids)
         while len(grids) < 2:
             start = provider.u
             provider.advance_to(*next(steps))
         assert start.grid.n < provider.u.grid.n   # the step crosses a climb
+        assert provider.h == h
         c = resize_coefficients(start.coefficients, grid.n)
-        c = SpectralWorkspace(grid).rk4_step(c, 0.5 * dt, 1.0)
+        c = SpectralWorkspace(grid).rk4_step(c, 0.5 * provider.h, 1.0)
         exact = PeriodicField(grid, coefficients=c * grid.antideriv_multiplier)
         mid = PeriodicField(grid, coefficients=resize_coefficients(
             provider.g[1].coefficients, grid.n))
@@ -250,8 +256,11 @@ class TestCoEvolvedRun:
         assert record.terminated is Termination.Horizon
 
     def test_sample_times_are_step_multiples(self, coevolved):
+        # sample_stride counts march steps, and on the 256 rung a march step
+        # spans 1024/256 steps of dt
         record, trace = coevolved
-        steps = np.arange(len(trace.times)) * 10
+        assert record.grids == [(0.0, 256)]
+        steps = np.arange(len(trace.times)) * 10 * 4
         assert np.array_equal(trace.times, steps * record.config.dt)
 
     def test_ensemble_csv(self, tmp_path, coevolved):
@@ -271,8 +280,8 @@ class TestMatchesSimulate:
     # samples both take; at a = 0.05 min V reaches stop_slope first, so
     # co_evolve stops between simulate's samples
     @pytest.mark.parametrize("a, t_max, stop_slope, n_shared, ends", [
-        (0.005, 1.0, -200.0, 101, Termination.Horizon),
-        (0.05, 5.0, -30.0, 318, Termination.SlopeBlowup)])
+        (0.005, 1.0, -200.0, 26, Termination.Horizon),
+        (0.05, 5.0, -30.0, 137, Termination.SlopeBlowup)])
     def test_record_equals_simulate(self, a, t_max, stop_slope, n_shared,
                                     ends):
         cfg = SimulationConfig(two_mode_quantities(a, 0.0), n=1024, dt=1e-3,

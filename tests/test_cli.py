@@ -50,7 +50,12 @@ class TestConfigFile:
     def test_non_finite_value(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("t_max = inf\n")
-        with pytest.raises(ValueError, match="not a finite number: 'inf'"):
+        with pytest.raises(ValueError,
+                           match="run.cfg:1: not a finite number: 'inf'"):
+            read_config(p, SIMULATE)
+        # a value its key's type cannot read names its line too
+        p.write_text("a = 0.05\ndt = fast\n")
+        with pytest.raises(ValueError, match="run.cfg:2: could not convert"):
             read_config(p, SIMULATE)
 
     def test_bad_bool(self, tmp_path):
@@ -154,6 +159,18 @@ class TestExitCodes:
          "c_over_gamma sets the single Newton solve"),
         (["wave", "--corner", "true", "--c-over-gamma", "1.07"],
          "c_over_gamma sets the single Newton solve"),
+        (["scan", "--criteria-only", "false", "--n", "100", "--a-count",
+          "1", "--b-count", "1"],
+         "grid size must be a power of two >= 8, got 100"),
+        (["scan", "--criteria-only", "false", "--dt", "-1", "--a-count",
+          "1", "--b-count", "1"], "dt and t_max must be positive"),
+        (["scan", "--criteria-only", "false", "--stop-slope", "5",
+          "--a-count", "1", "--b-count", "1"], "stop_slope must be negative"),
+        (["wave", "--n", "4"], "n = 4 holds no wave; need an even n >= 6"),
+        (["wave", "--n", "5"], "n = 5 holds no wave; need an even n >= 6"),
+        (["wave", "--n", "7"], "n = 7 holds no wave; need an even n >= 6"),
+        (["wave", "--branch-ratios", "1.01,1.02", "--n", "9"],
+         "n = 9 holds no wave; need an even n >= 6"),
     ], ids=["criteria-gamma0", "criteria-gamma-1", "scan-gamma0",
             "scan-gamma-1", "wave-gamma0", "wave-gamma-1",
             "characteristics-sample-stride0", "characteristics-n-xi0",
@@ -162,14 +179,19 @@ class TestExitCodes:
             "simulate-gamma-1", "characteristics-gamma0", "criteria-a-nan",
             "wave-corner-gamma-nan", "wave-corner-n6", "wave-corner-n8",
             "scan-criteria-only-n-dt", "wave-branch-c-over-gamma",
-            "wave-corner-c-over-gamma"])
+            "wave-corner-c-over-gamma", "scan-n100", "scan-dt-1",
+            "scan-stop-slope5", "wave-n4", "wave-n5", "wave-n7",
+            "wave-branch-n9"])
     def test_out_of_range_value(self, argv, message, tmp_path, capsys):
         # criteria-a-nan failed on an empty search, wave-corner-gamma-nan
         # exited 0 with a nan profile, wave-corner-n6 and -n8 failed in
-        # numpy's max of an empty array, and the last three exited 0 with a
-        # key that their mode does not read
-        code, out, err = run_cli(argv + ["--output-dir", str(tmp_path)],
-                                 capsys)
+        # numpy's max of an empty array, scan-criteria-only-n-dt and the
+        # two c-over-gamma cases exited 0 with a key that their mode does
+        # not read, the scan-n/dt/stop-slope cases failed inside the first
+        # point after making out_dir, wave-n4 and -n5 exited 2 as a
+        # numerical failure, and wave-n7 and -n9 failed in numpy's broadcast
+        code, out, err = run_cli(argv + ["--output-dir",
+                                         str(tmp_path / "out")], capsys)
         assert code == 1
         assert f"error: {message}" in err
         assert out == ""

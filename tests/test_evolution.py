@@ -145,8 +145,8 @@ class TestMarchTendency:
         # a = 0.5 climbs off the 256 rung by t = 0.25
         grid, grids = PeriodicGrid(1024), []
         c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
-        for i, _, c, rung, tendency in march(grid, c0, 5e-4, 1.0, 500,
-                                             grids=grids):
+        for i, _, _, c, rung, tendency in march(grid, c0, 5e-4, 1.0, 500,
+                                                grids=grids):
             assert np.array_equal(tendency,
                                   SpectralWorkspace(rung).rhs(c, 1.0)), i
         assert len(grids) >= 2
@@ -160,15 +160,30 @@ class TestMarchTendency:
                               ws.rk4_step(c, 1e-2, 1.0))
 
 
-def fixed_grid_run(cfg, n_steps):
-    """The reference: RK4 steps on the config grid alone, no ladder."""
+def fixed_grid_run(cfg, lengths):
+    """The reference: RK4 steps of the given lengths on the config grid
+    alone, no ladder."""
     grid = PeriodicGrid(cfg.n)
     ws = SpectralWorkspace(grid)
     c = cfg.initial.sample(grid).coefficients.copy()
     c[-1] = 0.0
-    for _ in range(n_steps):
-        c = ws.rk4_step(c, cfg.dt, cfg.gamma)
+    for h in lengths:
+        c = ws.rk4_step(c, h, cfg.gamma)
     return PeriodicField(grid, coefficients=c)
+
+
+def step_lengths(cfg):
+    """simulate(cfg) and the length of each RK4 step it took."""
+    lengths = []
+    rk4_step = SpectralWorkspace.rk4_step
+
+    def recorded(ws, coeffs, dt, *args):
+        lengths.append(dt)
+        return rk4_step(ws, coeffs, dt, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SpectralWorkspace, "rk4_step", recorded)
+        return simulate(cfg), lengths
 
 
 class TestGridLadder:
@@ -177,18 +192,21 @@ class TestGridLadder:
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=2048,
                                dt=1e-3, t_max=2.8, stride=100,
                                snapshot_times=(2.0,))
-        return simulate(cfg), fixed_grid_run(cfg, 2800)
+        rec, lengths = step_lengths(cfg)
+        return rec, fixed_grid_run(cfg, lengths), lengths
 
     def test_climbs_and_matches_fixed_grid(self, case1_to_2_8):
-        rec, fixed = case1_to_2_8
+        rec, fixed, lengths = case1_to_2_8
         assert rec.terminated is Termination.Horizon
         assert len(rec.grids) >= 3          # start rung plus >= 2 climbs
+        # a step on rung m spans 2048/m steps of dt
+        assert lengths[0] == 8e-3 and lengths[-1] == 1e-3
         err = np.max(np.abs(rec.final_field.values - fixed.values))
         assert err <= 1e-13
 
     def test_history_only_grows_and_ends_within_config_grid(self,
                                                             case1_to_2_8):
-        rec, _ = case1_to_2_8
+        rec = case1_to_2_8[0]
         times, sizes = zip(*rec.grids)
         assert times[0] == 0.0 and sizes[0] == 256
         assert all(np.diff(times) > 0) and all(np.diff(sizes) > 0)
@@ -197,7 +215,7 @@ class TestGridLadder:
         assert times[-1] <= rec.times[-1]
 
     def test_snapshot_and_final_field_on_config_grid(self, case1_to_2_8):
-        rec, _ = case1_to_2_8
+        rec = case1_to_2_8[0]
         # at t = 2 the run still steps on 256 points
         assert max(n for t, n in rec.grids if t <= 2.0) == 256
         for f in (rec.snapshots[2.0], rec.final_field):
@@ -210,7 +228,7 @@ class TestGridLadder:
                                dt=1e-3, t_max=0.5)
         rec = simulate(cfg)
         assert rec.grids == [(0.0, 256)]
-        fixed = fixed_grid_run(cfg, 500)
+        fixed = fixed_grid_run(cfg, [cfg.dt] * 500)
         assert np.array_equal(rec.final_field.coefficients,
                               fixed.coefficients)
 
@@ -227,6 +245,51 @@ class TestGridLadder:
         # and back down: the padded modes are exactly zero
         assert np.allclose(resize_coefficients(padded, n), c, rtol=1e-15,
                            atol=0.0)
+
+
+class TestRungSteps:
+    # dt is the step on the config grid; a step on rung m spans n/m of them
+    def test_labels_count_steps_of_dt_on_every_rung(self):
+        grid, grids, dt = PeriodicGrid(1024), [], 2.5e-4
+        c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
+        count, rungs = 0, []
+        for i, t, h, _, rung, _ in march(grid, c0, dt, 1.0, 2000,
+                                         grids=grids):
+            if i:
+                span = 1024 // rungs[-1]     # the rung the step was taken on
+                assert h == span * dt
+                count += span
+            assert t == count * dt, i
+            rungs.append(rung.n)
+        assert count == 2000
+        assert {n for _, n in grids} == {256, 512, 1024}
+
+    def test_last_step_lands_on_t_max(self):
+        # 1001 steps of dt: 250 steps of 4 dt on the 256 rung, then one of dt
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=1024,
+                               dt=1e-3, t_max=1.001, stride=1000)
+        rec, lengths = step_lengths(cfg)
+        assert rec.grids == [(0.0, 256)]
+        assert lengths == [4e-3] * 250 + [1e-3]
+        assert rec.times[-1] == 1001 * 1e-3
+        assert rec.times[-1] == pytest.approx(cfg.t_max, abs=1e-15)
+        fixed = fixed_grid_run(cfg, lengths)
+        assert np.max(np.abs(rec.final_field.values - fixed.values)) <= 1e-13
+
+    def test_snapshot_off_the_rung_lattice_taken_at_its_time(self):
+        # t = 0.25 is 62.5 steps of 4 dt: the step from 0.248 is shortened
+        # to land on it, and the run to t_max = 0.25 takes the same steps
+        d = two_mode_quantities(0.05, 0.0)
+        cfg = SimulationConfig(d, n=1024, dt=1e-3, t_max=0.5,
+                               snapshot_times=(0.25,))
+        rec, lengths = step_lengths(cfg)
+        assert lengths[:63] == [4e-3] * 62 + [2e-3]
+        assert run_summary(rec, None)["snapshots_missed"] == []
+        exact = simulate(SimulationConfig(d, n=1024, dt=1e-3, t_max=0.25))
+        assert exact.times[-1] == 0.25
+        assert np.array_equal(rec.snapshots[0.25].coefficients,
+                              exact.final_field.coefficients)
+        assert rec.times[-1] == 0.5
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -154,6 +154,20 @@ class TestBadInputs:
             continuation_branch(1.0, [1.01, 1.02], n=n)
 
 
+    @pytest.mark.parametrize("n", [4, 5, 7, 9])
+    def test_grid_that_holds_no_wave(self, n):
+        # n = 4 and 5 collapsed onto the zero solution, an odd n failed in
+        # numpy's broadcast
+        with pytest.raises(ValueError, match="need an even n >= 6"):
+            solve_periodic_wave(1.05, 1.0, n=n)
+        with pytest.raises(ValueError, match="need an even n >= 6"):
+            continuation_branch(1.0, [1.01, 1.02], n=n)
+
+    def test_smallest_grid_solves(self):
+        w = solve_periodic_wave(1.05, 1.0, n=6)
+        assert w.phi.shape == (6,) and w.amplitude > 0
+
+
 class TestWarmStart:
     def test_coeffs_from_values_on_any_grid(self):
         # cosine modes 1..10 sampled on grids coarser and finer than the
