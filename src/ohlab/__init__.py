@@ -9,19 +9,17 @@ from .criteria import (CriterionReport, LineData, all_reports,
                        line_criterion)
 from .evolution import (BlowupEstimate, SimulationConfig, SimulationRecord,
                         Termination, estimate_blowup, simulate)
-from .fourier import (PeriodicField, PeriodicGrid, antiderivative_zero_mean,
-                      spectral_derivative)
+from .fourier import PeriodicField, PeriodicGrid, spectral_derivative
 from .initial import (InitialData, frequency_scaled, sampled_data,
                       two_mode_quantities)
 
 __all__ = [
     "BlowupEstimate", "CriterionReport", "InitialData", "LineData",
     "PeriodicField", "PeriodicGrid", "SimulationConfig", "SimulationRecord",
-    "Termination", "all_reports", "antiderivative_zero_mean",
-    "characteristics_criterion", "cubic_criterion_one", "cubic_criterion_two",
-    "estimate_blowup", "find_t1", "frequency_scaled", "hunter_criterion",
-    "line_criterion", "sampled_data", "simulate", "spectral_derivative",
-    "two_mode_quantities",
+    "Termination", "all_reports", "characteristics_criterion",
+    "cubic_criterion_one", "cubic_criterion_two", "estimate_blowup",
+    "find_t1", "frequency_scaled", "hunter_criterion", "line_criterion",
+    "sampled_data", "simulate", "spectral_derivative", "two_mode_quantities",
 ]
 
 __version__ = "0.1.0"

@@ -27,9 +27,8 @@ import numpy as np
 from .errors import NumericalFailure
 from .evolution import (BlowupEstimate, SimulationConfig, SimulationRecord,
                         simulate)
-from .fourier import (PeriodicField, PeriodicGrid, _require_zero_mean,
-                      parabolic_minmax, resize_coefficients,
-                      spectral_derivative)
+from .fourier import (PeriodicField, PeriodicGrid, parabolic_minmax,
+                      resize_coefficients, spectral_derivative)
 from .tables import write_csv
 
 
@@ -43,7 +42,9 @@ class CharacteristicEnsemble:
 
 
 def seed(u0: PeriodicField, n_xi: int) -> CharacteristicEnsemble:
-    _require_zero_mean(u0)
+    """n_xi characteristics from uniform points of the circle, carrying u0
+    and u0' there.  u0 is `InitialData.sample`'s field, whose mode 0 is
+    zero; the ensemble does not check it."""
     xi = np.arange(n_xi) * (u0.grid.length / n_xi)
     du = spectral_derivative(u0)
     return CharacteristicEnsemble(xi=xi, x=xi.copy(), u=u0.evaluate(xi),

@@ -33,8 +33,7 @@ from .evolution import SimulationConfig, Termination
 from .initial import two_mode_quantities
 
 _RUN = {"gamma": 1.0, "a": 0.05, "b": 0.0, "n": 4096, "dt": 1e-3,
-        "t_max": 25.0, "stop_slope": -200.0, "fit_depth": -6.0,
-        "output_dir": ""}
+        "t_max": 25.0, "stop_slope": -200.0, "output_dir": ""}
 # scan's keys that are ScanConfig fields take its defaults, so that the
 # command and the library scan step the same grid
 _SCAN = {f.name: f.default for f in dataclasses.fields(scan_mod.ScanConfig)
@@ -120,20 +119,18 @@ def _outdir(cfg) -> Path:
 
 
 def _sim_config(cfg, **extra) -> SimulationConfig:
-    """The run's config; checks fit_depth too, so that a bad value fails
-    before any step is taken or any file written."""
-    if not cfg["fit_depth"] < 0:
-        raise ValueError("fit_depth must be negative")
+    """The run's config from the settings; SimulationConfig checks them, so
+    a bad value fails before any step is taken or any file written."""
     return SimulationConfig(
         initial=two_mode_quantities(cfg["a"], cfg["b"]), gamma=cfg["gamma"],
         n=cfg["n"], dt=cfg["dt"], t_max=cfg["t_max"],
         stop_slope=cfg["stop_slope"], **extra)
 
 
-def _fit_blowup(record, cfg, out: Path):
+def _fit_blowup(record, out: Path):
     """The blow-up fit of a run, with its rate products written to out; None
     if the run did not break or its fit window is too short."""
-    est = evolution.estimate_blowup(record, fit_depth=cfg["fit_depth"])
+    est = evolution.estimate_blowup(record)
     if est is not None:
         chars.write_rate_products_csv(chars.rate_products(record, est),
                                       out / "rate_products.csv")
@@ -146,7 +143,7 @@ def _cmd_simulate(cfg) -> dict:
                          snapshot_times=_floats(cfg["snapshots"]))
     record = evolution.simulate(config)
     out = _outdir(cfg)
-    est = _fit_blowup(record, cfg, out)
+    est = _fit_blowup(record, out)
     evolution.write_timeseries(record, out / "timeseries.csv")
     for t, f in record.snapshots.items():
         evolution.write_snapshot(f, out / f"snapshot_t{t:g}.csv")
@@ -171,7 +168,7 @@ def _cmd_characteristics(cfg) -> dict:
     out = _outdir(cfg)
     chars.write_ensemble_csv(trace, out / "ensemble.csv")
     return {
-        **evolution.run_summary(record, _fit_blowup(record, cfg, out)),
+        **evolution.run_summary(record, _fit_blowup(record, out)),
         "t_end": float(record.times[-1]),
         "sup_consistency": float(trace.consistency.max()),
         "min_v_vs_grid": float(np.max(np.abs(trace.min_v - record.min_ux))),

@@ -85,6 +85,10 @@ class SimulationConfig:
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.t_max:
                 raise ValueError(f"snapshot time {t:g} outside [0, t_max]")
+            k = t / self.dt
+            if abs(k - round(k)) > 1e-9 * k:
+                raise ValueError(f"snapshot time {t:g} is not a multiple of "
+                                 f"dt = {self.dt:g}")
 
     def summary(self) -> dict:
         d = {k: getattr(self, k) for k in
@@ -145,10 +149,9 @@ class SpectralWorkspace:
         return np.fft.rfft(u * u)[: self.n // 2 + 1] * self.half_deriv_down
 
     def rhs(self, coeffs: np.ndarray, gamma: float) -> np.ndarray:
-        out = gamma * coeffs * self.antideriv - self.nonlinear_term(coeffs)
-        out[0] = 0.0
-        out[-1] = 0.0
-        return out
+        """The tendency; zero at mode 0 and the Nyquist mode, where both
+        multipliers vanish, so a step keeps those modes at zero."""
+        return gamma * coeffs * self.antideriv - self.nonlinear_term(coeffs)
 
     def rk4_step(self, coeffs: np.ndarray, dt: float, gamma: float,
                  k1: np.ndarray | None = None) -> np.ndarray:
@@ -158,10 +161,7 @@ class SpectralWorkspace:
         k2 = self.rhs(coeffs + 0.5 * dt * k1, gamma)
         k3 = self.rhs(coeffs + 0.5 * dt * k2, gamma)
         k4 = self.rhs(coeffs + dt * k3, gamma)
-        out = coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[0] = 0.0   # zero-mean projection; the tendency preserves it anyway
-        out[-1] = 0.0
-        return out
+        return coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 _TAIL = 1e-13   # largest top-of-band mode, relative to the peak mode, that
@@ -253,12 +253,12 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     """Integrate until the horizon, slope blow-up, or numerical failure.
 
     The march steps at config.dt on the config grid and at dt*n/m on a
-    coarser rung m, and lands on t_max and on every snapshot time, each
-    taken at the nearest multiple of dt.  Diagnostics are sampled every
-    `stride` march steps and at the last step, on the current rung's grid;
-    each sample after t = 0 is judged by `slope_verdict`.  Snapshots and the
-    final field are on the config grid.  The Q and E drifts are relative to
-    the t = 0 sample.
+    coarser rung m, and lands on t_max, rounded to a multiple of dt, and on
+    every snapshot time, which `SimulationConfig` requires to be one.
+    Diagnostics are sampled every `stride` march steps and at the last step,
+    on the current rung's grid; each sample after t = 0 is judged by
+    `slope_verdict`.  Snapshots and the final field are on the config grid.
+    The Q and E drifts are relative to the t = 0 sample.
 
     A rider, if given, rides the march: `rider.advance_to(i, t, h, coeffs,
     rung, tendency)` is called with every step `march` yields, before its
@@ -311,13 +311,13 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
 
 
 _FIT_START = 5.0   # the fit window opens at this multiple of min u0'
+_FIT_DEPTH = -6.0  # and closes past this slope, or twice the opening one
 
 
-def estimate_blowup(record: SimulationRecord,
-                    fit_depth: float = -6.0) -> BlowupEstimate | None:
+def estimate_blowup(record: SimulationRecord) -> BlowupEstimate | None:
     """Least-squares line B + C t through y(t) = -1/min_ux(t), or None if
     the run did not end in SlopeBlowup or its window holds fewer than 10
-    samples.  A fit_depth that is not negative raises ValueError.
+    samples.
 
     Each sample is weighted by its trapezoid share of the window, so the
     fit approximates the L2 fit over the window's time span whatever the
@@ -326,18 +326,16 @@ def estimate_blowup(record: SimulationRecord,
 
     The window starts once the slope has steepened past _FIT_START times its
     initial minimum (the regression models an asymptotic law; early samples
-    bias C) and is capped at fit_depth: past that depth the steepening front
-    is thinner than a few grid cells and recorded minima flatten into a
-    resolution artifact that would dominate the fit.  For steep
-    initial data whose start threshold already lies below fit_depth, the cap
+    bias C) and is capped at _FIT_DEPTH: past that depth the steepening
+    front is thinner than a few grid cells and recorded minima flatten into
+    a resolution artifact that would dominate the fit.  For steep initial
+    data whose start threshold already lies below _FIT_DEPTH, the cap
     scales to twice the threshold instead so the window never comes up empty.
     """
-    if not fit_depth < 0:
-        raise ValueError("fit_depth must be negative")
     if record.terminated is not Termination.SlopeBlowup:
         return None
     threshold = _FIT_START * min(float(record.min_ux[0]), 0.0)
-    depth = min(fit_depth, 2.0 * threshold)
+    depth = min(_FIT_DEPTH, 2.0 * threshold)
     mask = record.min_ux <= threshold
     first = int(np.argmax(mask))
     end = first

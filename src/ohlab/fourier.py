@@ -1,12 +1,15 @@
 """Spectral representation of real periodic fields on a uniform grid.
 
 Everything downstream (time stepping, characteristics, traveling waves)
-manipulates fields through this module: differentiation, the mean-zero
-anti-derivative, exact zero-padding between grids and off-grid evaluation
-of the trigonometric interpolant.  `field_diagnostics` is the one place that
-turns a coefficient vector into sup|u|, the slope extrema, mass and the
-conserved quantities Q and E; the solver's samples, the line criterion and
-the quadrature scalars of initial data all read it.
+manipulates fields through this module: differentiation, exact zero-padding
+between grids and off-grid evaluation of the trigonometric interpolant.
+The mean-zero antiderivative is a product with
+`PeriodicGrid.antideriv_multiplier`: mode k != 0 divided by i*2*pi*k/length,
+mode 0 and the Nyquist mode zero; its callers multiply by it themselves.
+`field_diagnostics` is the one place that turns a coefficient vector into
+sup|u|, the slope extrema, mass and the conserved quantities Q and E; the
+solver's samples, the line criterion and the quadrature scalars of initial
+data all read it.
 """
 from __future__ import annotations
 
@@ -140,31 +143,9 @@ class PeriodicField:
         return f"PeriodicField(n={self.grid.n}, length={self.grid.length})"
 
 
-def mass_tolerance(f: PeriodicField) -> float:
-    rms = float(np.sqrt(np.mean(f.values ** 2)))
-    return 1e-10 * (f.grid.length * rms + 1.0)
-
-
-def _require_zero_mean(f: PeriodicField):
-    m = f.mean * f.grid.length
-    if abs(m) > mass_tolerance(f):
-        raise ValueError(f"field mass {m:.3e} exceeds tolerance")
-
-
 def spectral_derivative(f: PeriodicField) -> PeriodicField:
     return PeriodicField(f.grid,
                          coefficients=f.coefficients * f.grid.deriv_multiplier)
-
-
-def antiderivative_zero_mean(f: PeriodicField) -> PeriodicField:
-    """The mean-zero primitive: mode k != 0 divided by i*2*pi*k/length.
-
-    Only defined for zero-mass input; a nonzero mode-0 coefficient has no
-    periodic primitive.
-    """
-    _require_zero_mean(f)
-    return PeriodicField(f.grid,
-                         coefficients=f.coefficients * f.grid.antideriv_multiplier)
 
 
 class FieldDiagnostics(NamedTuple):

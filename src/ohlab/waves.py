@@ -174,13 +174,10 @@ class _NormalizedSolver:
         raise NoConvergence(f"Newton iteration did not converge at s={s}")
 
     def coeffs_from_values(self, values: np.ndarray) -> np.ndarray:
-        """Cosine modes 1..K of samples on any grid from -pi; modes it cannot
-        carry, and its Nyquist mode (as in resize_coefficients), are zero."""
-        top = min(len(self.k), (len(values) - 1) // 2)
-        a = np.zeros(len(self.k))
-        a[:top] = (self.sign[:top] * (2.0 / len(values))
-                   * np.fft.rfft(values)[1:top + 1].real)
-        return a
+        """Cosine modes 1..K of the solver's n samples from -pi; the Nyquist
+        mode n/2 is dropped."""
+        return (self.sign * (2.0 / self.n)
+                * np.fft.rfft(values)[1:len(self.k) + 1].real)
 
     def profile(self, a: np.ndarray, s: float, gamma: float) -> WaveProfile:
         psi = self._fields(a)[0][::2]          # the n grid: every other point
@@ -232,21 +229,17 @@ def _check_inputs(gamma: float, n: int, ratios: list) -> None:
 
 
 def solve_periodic_wave(c: float, gamma: float,
-                        init: WaveProfile | None = None,
                         n: int = 256) -> WaveProfile:
-    """Newton solve at speed c from the small-amplitude expansion, or from a
-    warm start on any grid.  A cold start too far from the wave falls back
-    to continuation from small amplitude."""
+    """Newton solve at speed c from the small-amplitude expansion on n
+    points.  A start too far from the wave falls back to continuation from
+    small amplitude."""
     s = c / gamma if gamma > 0 else math.nan
     _check_inputs(gamma, n, [s])
     solver = _NormalizedSolver(n)
-    start = (perturbation_profile(s, n) if init is None
-             else init.phi / init.gamma)
     try:
-        a = _checked_solve(solver, solver.coeffs_from_values(start), s)
+        a = _checked_solve(
+            solver, solver.coeffs_from_values(perturbation_profile(s, n)), s)
     except NoConvergence:
-        if init is not None:
-            raise
         s0 = min(1.0 + 0.25 * (s - 1.0), 1.01)
         return continuation_branch(gamma, [s0, s], n)[-1]
     return solver.profile(a, s, gamma)

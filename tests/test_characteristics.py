@@ -44,12 +44,6 @@ class TestSeed:
         assert np.max(np.abs(ens.u - expect_u)) < 1e-13
         assert np.max(np.abs(ens.v - expect_v)) < 1e-12
 
-    def test_rejects_nonzero_mass(self):
-        g = PeriodicGrid(64)
-        u0 = PeriodicField.from_function(g, lambda x: 1.0 + np.cos(TWO_PI * x))
-        with pytest.raises(ValueError, match="field mass .* exceeds tolerance"):
-            seed(u0, 16)
-
 
 class TestRiccatiLimit:
     def test_pure_riccati_on_zero_field(self):

@@ -171,6 +171,8 @@ class TestExitCodes:
         (["wave", "--n", "7"], "n = 7 holds no wave; need an even n >= 6"),
         (["wave", "--branch-ratios", "1.01,1.02", "--n", "9"],
          "n = 9 holds no wave; need an even n >= 6"),
+        (["simulate", "--dt", "0.01", "--t-max", "0.05", "--snapshots",
+          "0.015"], "snapshot time 0.015 is not a multiple of dt = 0.01"),
     ], ids=["criteria-gamma0", "criteria-gamma-1", "scan-gamma0",
             "scan-gamma-1", "wave-gamma0", "wave-gamma-1",
             "characteristics-sample-stride0", "characteristics-n-xi0",
@@ -181,7 +183,7 @@ class TestExitCodes:
             "scan-criteria-only-n-dt", "wave-branch-c-over-gamma",
             "wave-corner-c-over-gamma", "scan-n100", "scan-dt-1",
             "scan-stop-slope5", "wave-n4", "wave-n5", "wave-n7",
-            "wave-branch-n9"])
+            "wave-branch-n9", "simulate-snapshot-off-dt"])
     def test_out_of_range_value(self, argv, message, tmp_path, capsys):
         # criteria-a-nan failed on an empty search, wave-corner-gamma-nan
         # exited 0 with a nan profile, wave-corner-n6 and -n8 failed in
@@ -189,7 +191,9 @@ class TestExitCodes:
         # two c-over-gamma cases exited 0 with a key that their mode does
         # not read, the scan-n/dt/stop-slope cases failed inside the first
         # point after making out_dir, wave-n4 and -n5 exited 2 as a
-        # numerical failure, and wave-n7 and -n9 failed in numpy's broadcast
+        # numerical failure, wave-n7 and -n9 failed in numpy's broadcast,
+        # and simulate-snapshot-off-dt wrote the t = 0.02 field as
+        # snapshot_t0.015.csv
         code, out, err = run_cli(argv + ["--output-dir",
                                          str(tmp_path / "out")], capsys)
         assert code == 1
@@ -199,11 +203,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--t-max", "0.05", "--fit-depth", "1"],
-         "fit_depth must be negative"),
-        (["simulate", "--a", "0.2", "--dt", "0.002", "--t-max", "30",
-          "--fit-depth", "0"], "fit_depth must be negative"),
+         "unrecognized arguments: --fit-depth 1"),
         (["characteristics", "--t-max", "0.05", "--n-xi", "8",
-          "--fit-depth", "1"], "fit_depth must be negative"),
+          "--fit-depth", "1"], "unrecognized arguments: --fit-depth 1"),
         (["simulate", "--t-max", "0.05", "--snapshots=-1"],
          "snapshot time -1 outside [0, t_max]"),
         (["simulate", "--t-max", "0.05", "--snapshots", "0.01,7"],
@@ -214,20 +216,16 @@ class TestExitCodes:
          "argument --t-max: invalid finite value: 'inf'"),
         (["simulate", "--t-max", "0.05", "--stop-slope", "nan"],
          "argument --stop-slope: invalid finite value: 'nan'"),
-        (["simulate", "--a", "0.2", "--dt", "0.002", "--t-max", "3",
-          "--stop-slope", "-30", "--fit-depth", "nan"],
-         "argument --fit-depth: invalid finite value: 'nan'"),
-    ], ids=["simulate-fit-depth-horizon", "simulate-fit-depth-breaking",
-            "characteristics-fit-depth", "snapshot-negative",
-            "snapshot-past-t-max", "snapshot-nan", "simulate-t-max-inf",
-            "simulate-stop-slope-nan", "simulate-fit-depth-nan"])
+    ], ids=["simulate-fit-depth-horizon", "characteristics-fit-depth",
+            "snapshot-negative", "snapshot-past-t-max", "snapshot-nan",
+            "simulate-t-max-inf", "simulate-stop-slope-nan"])
     def test_rejected_before_stepping(self, argv, message, tmp_path,
                                       capsys):
-        # these ran to the end first: a bad fit_depth passed unread on a run
-        # that did not break, and a bad snapshot time was dropped or stored
-        # under a time the field was not taken at; t_max = inf overflowed
-        # after making out_dir, stop_slope = nan stopped at the first step
-        # as SlopeBlowup, and fit_depth = nan dropped the fit
+        # these ran to the end first: a bad snapshot time was dropped or
+        # stored under a time the field was not taken at, t_max = inf
+        # overflowed after making out_dir, and stop_slope = nan stopped at
+        # the first step as SlopeBlowup; the fit depth is a constant of the
+        # estimator, so --fit-depth is a flag that neither command reads
         out_dir = tmp_path / "out"
         code, out, err = run_cli(argv + ["--n", "256",
                                          "--output-dir", str(out_dir)],

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ohlab.fourier import (PeriodicField, PeriodicGrid,
-                           antiderivative_zero_mean, field_diagnostics,
-                           mass_tolerance, parabolic_minmax,
-                           resize_coefficients, spectral_derivative)
+from ohlab.fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
+                           parabolic_minmax, resize_coefficients,
+                           spectral_derivative)
 
 TWO_PI = 2.0 * np.pi
 
@@ -95,35 +94,36 @@ class TestDerivative:
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
 
 
+def antiderivative(f):
+    """The mean-zero primitive, as the characteristics provider takes it."""
+    return PeriodicField(f.grid, coefficients=f.coefficients
+                         * f.grid.antideriv_multiplier)
+
+
 class TestAntiderivative:
     def test_cosine(self):
         g = grid()
         f = PeriodicField.from_function(g, lambda x: np.cos(TWO_PI * x))
-        got = antiderivative_zero_mean(f).values
+        got = antiderivative(f).values
         assert np.max(np.abs(got - np.sin(TWO_PI * g.x) / TWO_PI)) < 1e-13
 
     def test_sine_double_mode(self):
         g = grid()
         f = PeriodicField.from_function(g, lambda x: np.sin(2 * TWO_PI * x))
-        got = antiderivative_zero_mean(f).values
+        got = antiderivative(f).values
         expect = -np.cos(2 * TWO_PI * g.x) / (2 * TWO_PI)
         assert np.max(np.abs(got - expect)) < 1e-13
-
-    def test_constant_rejected(self):
-        g = grid()
-        with pytest.raises(ValueError, match="field mass .* exceeds tolerance"):
-            antiderivative_zero_mean(PeriodicField(g, values=np.ones(g.n)))
 
     def test_result_has_zero_mode(self):
         g = grid()
         f = band_limited(g, np.random.default_rng(3))
-        assert antiderivative_zero_mean(f).coefficients[0] == 0
+        assert antiderivative(f).coefficients[0] == 0
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_derivative_inverts_antiderivative(self, seed):
         g = grid(128)
         f = band_limited(g, np.random.default_rng(seed), k_max=32)
-        back = spectral_derivative(antiderivative_zero_mean(f))
+        back = spectral_derivative(antiderivative(f))
         scale = max(np.max(np.abs(f.values)), 1.0)
         assert np.max(np.abs(back.values - f.values)) / scale < 1e-12
 
@@ -213,11 +213,3 @@ class TestQuadratureAndEvaluate:
         assert hi == pytest.approx(1.0, abs=1e-5)
         assert hi > vals.max()
         assert lo == pytest.approx(-1.0, abs=1e-5)
-
-
-class TestMassTolerance:
-    def test_scales_with_amplitude(self):
-        g = grid()
-        small = PeriodicField.from_function(g, lambda x: np.sin(TWO_PI * x))
-        big = PeriodicField(g, values=small.values * 1e6)
-        assert mass_tolerance(big) > mass_tolerance(small)

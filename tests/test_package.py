@@ -1,9 +1,10 @@
-"""Static checks on the package source: exports that resolve, no stale
-imports, one sampling loop, one report path and no exception class that
-nothing catches.  The first two are what a deletion leaves behind, the
-next two what a second copy of a loop or of an emitter brings back, and the
-last a bespoke class for what is a plain ValueError, so they are checked
-here with the standard library's `ast` rather than an external linter."""
+"""Static checks on the package source: exports that resolve and have a
+caller, no stale imports, one sampling loop, one report path and no
+exception class that nothing catches.  The first three are what a deletion
+leaves behind, the next two what a second copy of a loop or of an emitter
+brings back, and the last a bespoke class for what is a plain ValueError,
+so they are checked here with the standard library's `ast` rather than an
+external linter."""
 import ast
 from pathlib import Path
 
@@ -18,6 +19,50 @@ def test_every_export_resolves():
     assert len(set(ohlab.__all__)) == len(ohlab.__all__)
     missing = [name for name in ohlab.__all__ if not hasattr(ohlab, name)]
     assert missing == []
+
+
+# exports that no workflow of the package calls, and why each stays
+LIBRARY_ONLY = {
+    "line_criterion": "the paper's breaking criterion on the infinite line; "
+                      "every workflow runs on the circle",
+    "LineData": "the decaying data that line_criterion reads",
+    "sampled_data": "oracle of acceptance 7: quadrature scalars of any "
+                    "callable, checked against the two-mode closed forms",
+    "find_t1": "oracle of acceptance 7: the bound time T1 in closed form, "
+               "which the criteria search inverts",
+    "frequency_scaled": "the paper's high-frequency data u0(k x), whose "
+                        "slope grows with k while its norms stay fixed",
+}
+
+
+def references_by_owner(tree):
+    """(owner, names read) per top-level statement of a module; the owner is
+    the name a def or class statement defines, else None."""
+    for node in tree.body:
+        owner = getattr(node, "name", None)
+        yield owner, {getattr(sub, "id", getattr(sub, "attr", None))
+                      for sub in ast.walk(node)
+                      if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def test_every_export_has_a_caller():
+    # a name counts as called when package code reads it outside its own
+    # definition and outside the definitions of library-only names; the
+    # re-export in __init__ does not count
+    refs = [(owner, names) for p in SOURCES if p.name != "__init__.py"
+            for owner, names in references_by_owner(
+                ast.parse(p.read_text(), filename=str(p)))]
+    called = {name for name in ohlab.__all__
+              if any(name in names for owner, names in refs
+                     if owner != name and owner not in LIBRARY_ONLY)}
+    assert sorted(set(ohlab.__all__) - called) == sorted(LIBRARY_ONLY)
+
+
+def test_references_skip_own_definition():
+    tree = ast.parse("def f():\n    return f()\n"
+                     "def g():\n    return m.f(h)\n")
+    assert dict(references_by_owner(tree)) == {
+        "f": {"f"}, "g": {"m", "f", "h"}}
 
 
 def imported_names(tree):
