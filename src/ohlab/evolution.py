@@ -52,16 +52,24 @@ class Termination(enum.Enum):
     NumericalFailure = "NumericalFailure"
 
 
+def _check_on_lattice(name: str, t: float, dt: float):
+    """Raise ValueError unless t is a multiple of dt, to 1e-9 of its count."""
+    k = t / dt
+    if abs(k - round(k)) > 1e-9 * k:
+        raise ValueError(f"{name} {t:g} is not a multiple of dt = {dt:g}")
+
+
 def check_stepping(gamma: float, n: int, dt: float, t_max: float,
                    stop_slope: float):
     """Raise ValueError for settings no run can step with: gamma must be
-    positive, n a power of two >= 8, dt and t_max positive and finite, and
-    stop_slope negative."""
+    positive, n a power of two >= 8, dt and t_max positive and finite, t_max
+    a multiple of dt, and stop_slope negative."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     PeriodicGrid(n)
     if not (0 < dt < np.inf and 0 < t_max < np.inf):
         raise ValueError("dt and t_max must be positive")
+    _check_on_lattice("t_max =", t_max, dt)
     if not stop_slope < 0:
         raise ValueError("stop_slope must be negative")
 
@@ -85,10 +93,7 @@ class SimulationConfig:
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.t_max:
                 raise ValueError(f"snapshot time {t:g} outside [0, t_max]")
-            k = t / self.dt
-            if abs(k - round(k)) > 1e-9 * k:
-                raise ValueError(f"snapshot time {t:g} is not a multiple of "
-                                 f"dt = {self.dt:g}")
+            _check_on_lattice("snapshot time", t, self.dt)
 
     def summary(self) -> dict:
         d = {k: getattr(self, k) for k in
@@ -178,7 +183,7 @@ def _resolves(coeffs: np.ndarray, m: int) -> bool:
 
 
 def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
-          n_steps: int | None = None, *, grids: list, stops=()):
+          n_steps: int, *, grids: list, stops=()):
     """Yield (i, t, h, coeffs, rung, tendency) after march step i = 0, 1,
     ...: h is the step's length (0 at i = 0), t the time it reached, coeffs
     on the grid `rung`, and rhs(coeffs) there, which is also the next step's
@@ -193,8 +198,8 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
     Time is counted in steps of dt on `grid`.  A step on rung m spans
     grid.n/m of them, h = dt*grid.n/m, which keeps the CFL number of the
     finest rung, and t = I*dt for the integer count I.  The march ends at
-    I = n_steps (no end if n_steps is None); the one step that would pass
-    n_steps or a count in `stops` is shortened to land on it.
+    I = n_steps; the one step that would pass n_steps or a count in `stops`
+    is shortened to land on it.
 
     Yielded arrays are never modified afterwards.  Raises NumericalFailure
     at the first step whose coefficients are not all finite.
@@ -212,19 +217,17 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
     ws, coeffs = climb(0.0, coeffs, m)
     tendency = ws.rhs(coeffs, gamma)
     yield 0, 0.0, 0.0, coeffs, ws.grid, tendency
-    # the counts to land on, in order; n_steps is the last one reached
-    marks = sorted({*stops, n_steps} - {None, 0})
+    # the counts to land on, in order, up to n_steps, the last one reached
+    marks = sorted({*stops, n_steps} - {0})
     count = 0
     for i in itertools.count(1):
         if count == n_steps:
             return
-        span = grid.n // m
-        if marks:
-            span = min(span, marks[0] - count)
+        span = min(grid.n // m, marks[0] - count)
         h = span * dt
         coeffs = ws.rk4_step(coeffs, h, gamma, tendency)
         count += span
-        if marks and marks[0] == count:
+        if marks[0] == count:
             marks.pop(0)
         if not np.all(np.isfinite(coeffs)):
             raise NumericalFailure(f"non-finite coefficients at step {i}")
@@ -253,8 +256,8 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     """Integrate until the horizon, slope blow-up, or numerical failure.
 
     The march steps at config.dt on the config grid and at dt*n/m on a
-    coarser rung m, and lands on t_max, rounded to a multiple of dt, and on
-    every snapshot time, which `SimulationConfig` requires to be one.
+    coarser rung m, and lands on t_max and on every snapshot time, which
+    `SimulationConfig` requires to be multiples of dt.
     Diagnostics are sampled every `stride` march steps and at the last step,
     on the current rung's grid; each sample after t = 0 is judged by
     `slope_verdict`.  Snapshots and the final field are on the config grid.

@@ -88,15 +88,6 @@ def ode_residual(w: WaveProfile, scheme: str = "spectral",
     return float(np.max(np.abs(r)))
 
 
-def perturbation_profile(s: float, n: int = 256) -> np.ndarray:
-    """Third-order small-amplitude expansion of the normalized wave at speed
-    s = 1 + eps^2/6, in the crest-at-+-pi gauge."""
-    eps = math.sqrt(max(6.0 * (s - 1.0), 0.0))
-    x = _grid(n)
-    return (-eps * np.cos(x) + (eps ** 2 / 3.0) * np.cos(2 * x)
-            - (3.0 / 16.0) * eps ** 3 * np.cos(3 * x))
-
-
 class _NormalizedSolver:
     """Newton-Fourier solver for the normalized wave equation.
 
@@ -144,21 +135,22 @@ class _NormalizedSolver:
                    + windows(c[:, kmax + 1:], kmax, axis=1))
         return 0.5 * (g - k * k * f) + k * h
 
-    def solve(self, a0: np.ndarray, s: float):
-        """Newton iteration on the Galerkin system, to a Galerkin residual
-        2-norm below _NEWTON_TOL.  The returned pointwise residual also
+    def solve(self, a: np.ndarray, s: float):
+        """Newton iteration from a on the Galerkin system, to a Galerkin
+        residual 2-norm below _NEWTON_TOL within _NEWTON_MAX_ITER steps; no
+        iterate is modified in place.  The returned pointwise residual also
         carries the spectral truncation tail (modes above K excited by the
         quadratic terms), which no step inside the basis can remove, so it
         is reported rather than iterated on.
         """
-        a = a0.copy()
         r, point_norm = self.residual(a, s)
-        self.last_iterations = 0
-        for it in range(_NEWTON_MAX_ITER):
+        for it in range(_NEWTON_MAX_ITER + 1):
             norm0 = np.linalg.norm(r)
             if norm0 < _NEWTON_TOL:
-                self.last_iterations = it
                 return a, point_norm
+            if it == _NEWTON_MAX_ITER:
+                raise NoConvergence(
+                    f"Newton iteration did not converge at s={s}")
             delta = np.linalg.solve(self.jacobian(a, s), -r)
             for step in 0.5 ** np.arange(20):
                 trial = a + step * delta
@@ -168,16 +160,6 @@ class _NormalizedSolver:
                     break
             else:
                 raise NoConvergence(f"step halving exhausted at s={s}")
-        if np.linalg.norm(r) < _NEWTON_TOL:
-            self.last_iterations = _NEWTON_MAX_ITER
-            return a, point_norm
-        raise NoConvergence(f"Newton iteration did not converge at s={s}")
-
-    def coeffs_from_values(self, values: np.ndarray) -> np.ndarray:
-        """Cosine modes 1..K of the solver's n samples from -pi; the Nyquist
-        mode n/2 is dropped."""
-        return (self.sign * (2.0 / self.n)
-                * np.fft.rfft(values)[1:len(self.k) + 1].real)
 
     def profile(self, a: np.ndarray, s: float, gamma: float) -> WaveProfile:
         psi = self._fields(a)[0][::2]          # the n grid: every other point
@@ -212,6 +194,28 @@ def _continue_to(solver: _NormalizedSolver, a: np.ndarray, s_from: float,
         return _continue_to(solver, a_mid, mid, s_to, depth - 1)
 
 
+def _expansion_modes(s: float, n: int) -> np.ndarray:
+    """Cosine modes a_1..a_K, K = n/2 - 1, of the third-order small-amplitude
+    expansion -eps cos x + (eps^2/3) cos 2x - (3/16) eps^3 cos 3x of the
+    normalized wave at speed s = 1 + eps^2/6, crest at +-pi (n = 6 drops
+    cos 3x)."""
+    eps = math.sqrt(max(6.0 * (s - 1.0), 0.0))
+    a = np.zeros(n // 2 + 2)
+    a[:3] = -eps, eps ** 2 / 3.0, -3.0 / 16.0 * eps ** 3
+    return a[:n // 2 - 1]
+
+
+def _cold_solve(solver: _NormalizedSolver, s: float) -> np.ndarray:
+    """The wave at s from the expansion; a start too far from the wave falls
+    back to continuation from s0 = min(1 + (s - 1)/4, 1.01)."""
+    try:
+        return _checked_solve(solver, _expansion_modes(s, solver.n), s)
+    except NoConvergence:
+        s0 = min(1.0 + 0.25 * (s - 1.0), 1.01)
+        a = _checked_solve(solver, _expansion_modes(s0, solver.n), s0)
+        return _continue_to(solver, a, s0, s)
+
+
 def _check_inputs(gamma: float, n: int, ratios: list) -> None:
     """Reject, before any Newton step, inputs that no wave exists for."""
     if not gamma > 0:
@@ -230,31 +234,24 @@ def _check_inputs(gamma: float, n: int, ratios: list) -> None:
 
 def solve_periodic_wave(c: float, gamma: float,
                         n: int = 256) -> WaveProfile:
-    """Newton solve at speed c from the small-amplitude expansion on n
-    points.  A start too far from the wave falls back to continuation from
-    small amplitude."""
+    """Newton solve at speed c on n points by `_cold_solve`: from the
+    small-amplitude expansion, or by continuation from small amplitude when
+    that start is too far from the wave."""
     s = c / gamma if gamma > 0 else math.nan
     _check_inputs(gamma, n, [s])
     solver = _NormalizedSolver(n)
-    try:
-        a = _checked_solve(
-            solver, solver.coeffs_from_values(perturbation_profile(s, n)), s)
-    except NoConvergence:
-        s0 = min(1.0 + 0.25 * (s - 1.0), 1.01)
-        return continuation_branch(gamma, [s0, s], n)[-1]
-    return solver.profile(a, s, gamma)
+    return solver.profile(_cold_solve(solver, s), s, gamma)
 
 
 def continuation_branch(gamma: float, speed_ratios, n: int = 512):
-    """Sweep of solves over increasing c/gamma with warm starts; returns the
-    list of profiles in input order.  Oversized parameter steps are bisected
-    automatically."""
+    """Sweep of solves over increasing c/gamma; returns the list of profiles
+    in input order.  The first ratio is solved like `solve_periodic_wave`,
+    the rest from the previous solution, with oversized parameter steps
+    bisected automatically."""
     ratios = list(speed_ratios)
     _check_inputs(gamma, n, ratios)
     solver = _NormalizedSolver(n)
-    a = _checked_solve(
-        solver, solver.coeffs_from_values(perturbation_profile(ratios[0], n)),
-        ratios[0])
+    a = _cold_solve(solver, ratios[0])
     out = [solver.profile(a, ratios[0], gamma)]
     for s_prev, s in zip(ratios, ratios[1:]):
         a = _continue_to(solver, a, s_prev, s)

@@ -186,8 +186,10 @@ def test_dispersion_phase_error(acceptance, monkeypatch):
     # quadratic term off: mode 1 must rotate at exactly gamma/(2 pi)
     monkeypatch.setattr(SpectralWorkspace, "nonlinear_term",
                         lambda ws, c: np.zeros_like(c))
+    # one rotation period, 4 pi^2, on the dt lattice
     cfg = SimulationConfig(two_mode_quantities(1.0, 0.0), gamma=1.0, n=64,
-                           dt=0.01, t_max=4.0 * math.pi ** 2, stride=200)
+                           dt=0.01, t_max=round(4.0 * math.pi ** 2, 2),
+                           stride=200)
     rec = simulate(cfg)
     t = rec.times[-1]
     exact = np.cos(TWO_PI * rec.final_field.grid.x - t / TWO_PI)

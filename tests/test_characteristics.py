@@ -22,8 +22,9 @@ def zero_field(n=64):
     return PeriodicField(g, values=np.zeros(n))
 
 
-def fed_provider(u0, gamma, dt, grids=None, n_steps=None):
-    """A provider fed step 0 of u0's march, and the march for the rest."""
+def fed_provider(u0, gamma, dt, n_steps, grids=None):
+    """A provider fed step 0 of u0's march to n_steps steps of dt, and the
+    march for the rest."""
     steps = march(u0.grid, u0.coefficients, dt, gamma, n_steps,
                   grids=[] if grids is None else grids)
     provider = CoSteppingProvider(gamma)
@@ -49,7 +50,7 @@ class TestRiccatiLimit:
     def test_pure_riccati_on_zero_field(self):
         # u = 0 solves the PDE, so V' = -V^2 exactly: V(t) = v0/(1 + v0 t)
         dt = 1e-3
-        provider, steps = fed_provider(zero_field(), 1.0, dt)
+        provider, steps = fed_provider(zero_field(), 1.0, dt, 1000)
         v0 = np.array([1.0, 2.0, -0.25])
         ens = CharacteristicEnsemble(
             xi=np.array([0.0, 0.25, 0.5]), x=np.array([0.0, 0.25, 0.5]),
@@ -73,7 +74,7 @@ class TestProvider:
         # dt = 2.5e-4 keeps the 256 rung's step of 4 dt stable on the fixed
         # 1024 grid of the reference loop below (2e-3 is not)
         grids, lengths = [], []
-        provider, steps = fed_provider(u0, 1.0, 2.5e-4, grids, n_steps=1000)
+        provider, steps = fed_provider(u0, 1.0, 2.5e-4, 1000, grids)
         for step in steps:
             provider.advance_to(*step)
             lengths.append(provider.h)
@@ -99,9 +100,11 @@ class TestProvider:
         fixed 1024 grid."""
         grid = PeriodicGrid(1024)
         grids = []
-        # on the 1024 grid the 256 rung steps at 4 dt = h
+        # on the 1024 grid the 256 rung steps at 4 dt = h; the climb comes
+        # at t = 0.216, well before the march's end at t = 1000 h
         provider, steps = fed_provider(
-            two_mode_quantities(0.5, 0.0).sample(grid), 1.0, h / 4, grids)
+            two_mode_quantities(0.5, 0.0).sample(grid), 1.0, h / 4, 4000,
+            grids)
         while len(grids) < 2:
             start = provider.u
             provider.advance_to(*next(steps))
@@ -150,7 +153,7 @@ class TestProvider:
         co_evolve(cfg, n_xi=8)
         assert len(calls) == 4 * 20 + 1
         u0 = cfg.initial.sample(PeriodicGrid(64))
-        provider, steps = fed_provider(u0, 1.0, 1e-2)
+        provider, steps = fed_provider(u0, 1.0, 1e-2, 1)
         ens = seed(u0, 8)
         calls.clear()
         provider.advance_to(*next(steps))
@@ -161,7 +164,7 @@ class TestProvider:
 class TestNonFiniteEnsemble:
     def test_advance_raises(self):
         # V = 1e200 squares past the float range within the step
-        provider, steps = fed_provider(zero_field(), 1.0, 1e-3)
+        provider, steps = fed_provider(zero_field(), 1.0, 1e-3, 1)
         provider.advance_to(*next(steps))
         ens = CharacteristicEnsemble(
             xi=np.array([0.0, 0.5]), x=np.array([0.0, 0.5]), u=np.zeros(2),

@@ -173,6 +173,11 @@ class TestExitCodes:
          "n = 9 holds no wave; need an even n >= 6"),
         (["simulate", "--dt", "0.01", "--t-max", "0.05", "--snapshots",
           "0.015"], "snapshot time 0.015 is not a multiple of dt = 0.01"),
+        (["simulate", "--dt", "0.01", "--t-max", "0.055"],
+         "t_max = 0.055 is not a multiple of dt = 0.01"),
+        (["scan", "--criteria-only", "false", "--dt", "0.01", "--t-max",
+          "0.055", "--a-count", "1", "--b-count", "1"],
+         "t_max = 0.055 is not a multiple of dt = 0.01"),
     ], ids=["criteria-gamma0", "criteria-gamma-1", "scan-gamma0",
             "scan-gamma-1", "wave-gamma0", "wave-gamma-1",
             "characteristics-sample-stride0", "characteristics-n-xi0",
@@ -183,7 +188,8 @@ class TestExitCodes:
             "scan-criteria-only-n-dt", "wave-branch-c-over-gamma",
             "wave-corner-c-over-gamma", "scan-n100", "scan-dt-1",
             "scan-stop-slope5", "wave-n4", "wave-n5", "wave-n7",
-            "wave-branch-n9", "simulate-snapshot-off-dt"])
+            "wave-branch-n9", "simulate-snapshot-off-dt",
+            "simulate-t-max-off-dt", "scan-t-max-off-dt"])
     def test_out_of_range_value(self, argv, message, tmp_path, capsys):
         # criteria-a-nan failed on an empty search, wave-corner-gamma-nan
         # exited 0 with a nan profile, wave-corner-n6 and -n8 failed in
@@ -192,8 +198,9 @@ class TestExitCodes:
         # not read, the scan-n/dt/stop-slope cases failed inside the first
         # point after making out_dir, wave-n4 and -n5 exited 2 as a
         # numerical failure, wave-n7 and -n9 failed in numpy's broadcast,
-        # and simulate-snapshot-off-dt wrote the t = 0.02 field as
-        # snapshot_t0.015.csv
+        # simulate-snapshot-off-dt wrote the t = 0.02 field as
+        # snapshot_t0.015.csv, simulate-t-max-off-dt ran to t = 0.06, and
+        # scan-t-max-off-dt stepped every point past t_max
         code, out, err = run_cli(argv + ["--output-dir",
                                          str(tmp_path / "out")], capsys)
         assert code == 1
@@ -466,6 +473,15 @@ class TestWaveCommand:
         assert info["c_over_gamma"] == pytest.approx(1.05, rel=1e-12)
         assert float(lines[-1].split(",")[1]) == info["amplitude"]
         assert (tmp_path / "wave.csv").exists()
+
+    def test_branch_first_ratio_falls_back(self, tmp_path, capsys):
+        # exited 2 where `wave --c-over-gamma 1.095` converged: the branch's
+        # first solve had no continuation fallback
+        code, out, _ = run_cli(
+            ["wave", "--branch-ratios", "1.095", "--n", "512",
+             "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["branch_points"] == 1
 
     def test_corner_and_branch_conflict(self, tmp_path, capsys):
         code, _, err = run_cli(

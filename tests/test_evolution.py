@@ -59,6 +59,16 @@ class TestConfigValidation:
             SimulationConfig(two_mode_quantities(0.05, 0), n=64, dt=1e-2,
                              t_max=0.5, snapshot_times=(0.234,))
 
+    @pytest.mark.parametrize("t_max", [0.055, 0.004])
+    def test_t_max_off_the_dt_lattice(self, t_max):
+        # 0.055 used to run to t = 0.06, past t_max; 0.004 took no step and
+        # ended Horizon with the t = 0 sample alone
+        with pytest.raises(ValueError,
+                           match=f"t_max = {t_max:g} is not a multiple of "
+                                 "dt = 0.01"):
+            SimulationConfig(two_mode_quantities(0.05, 0), n=64, dt=0.01,
+                             t_max=t_max)
+
     def test_snapshot_times_at_the_ends(self):
         cfg = SimulationConfig(two_mode_quantities(0.1, 0.0), n=64, dt=0.01,
                                t_max=0.05, snapshot_times=(0.0, 0.05))
@@ -75,8 +85,9 @@ class TestLinearDispersion:
     def test_single_mode_phase(self):
         # mode k rotates at rate gamma/(2 pi k); the k=1 cosine translates
         # with phase gamma*t/(2 pi)
+        # one rotation period, 4 pi^2, on the dt lattice
         cfg = SimulationConfig(two_mode_quantities(1.0, 0.0), gamma=1.0,
-                               n=64, dt=0.01, t_max=4.0 * np.pi ** 2,
+                               n=64, dt=0.01, t_max=round(4.0 * np.pi ** 2, 2),
                                stride=100)
         rec = simulate(cfg)
         assert rec.terminated is Termination.Horizon
@@ -417,7 +428,7 @@ class TestEstimator:
         assert estimate_blowup(control_run) is None
 
     def test_short_window_rejected(self):
-        rec = self.synthetic_record(dt=0.05)
+        rec = self.synthetic_record(dt=0.05, t_end=1.95)
         assert estimate_blowup(rec) is None
 
     def test_steep_data_depth_scales(self):

@@ -118,6 +118,16 @@ def test_one_sampling_loop(name):
     assert sum(call_sites(tree, name) for tree in trees) == 1
 
 
+def test_one_cold_start():
+    # the expansion start has one caller, which falls back to continuation
+    # when it fails: a second caller is a second cold-start path
+    tree = ast.parse((Path(ohlab.__file__).parent / "waves.py").read_text())
+    callers = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and call_sites(node, "_expansion_modes")}
+    assert callers == {"_cold_solve"}
+
+
 def test_call_sites_are_counted():
     tree = ast.parse("march(1)\nev.march(2)\nmarch\nf(march)\n")
     assert call_sites(tree, "march") == 2

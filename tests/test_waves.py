@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ohlab.errors import NoConvergence
-from ohlab.waves import (CORNER_COEFFICIENT, CREST_SPEED_RATIO, WaveProfile,
-                         _checked_solve, _NormalizedSolver, _grid,
-                         continuation_branch, corner_wave, ode_residual,
-                         perturbation_profile, solve_periodic_wave,
+from ohlab.waves import (CORNER_COEFFICIENT, CREST_SPEED_RATIO,
+                         _checked_solve, _cold_solve, _expansion_modes,
+                         _NormalizedSolver, _grid, continuation_branch,
+                         corner_wave, ode_residual, solve_periodic_wave,
                          write_branch_csv, write_profile_csv)
 
 PI = math.pi
@@ -70,20 +70,22 @@ class TestOdeResidual:
         # the third-order expansion misses the equation at O((s-1)^2),
         # so halving s-1 should quarter the residual
         def r(delta, n=256):
-            x = _grid(n)
-            return ode_residual(WaveProfile(
-                x=x, phi=perturbation_profile(1.0 + delta, n),
-                c=1.0 + delta, gamma=1.0))
+            solver = _NormalizedSolver(n)
+            return ode_residual(solver.profile(
+                _expansion_modes(1.0 + delta, n), 1.0 + delta, 1.0))
 
         assert 3.5 < r(4e-3) / r(2e-3) < 4.6
 
 
 class TestNewtonSolve:
-    def test_converges_quickly_at_1_05(self):
-        solver = _NormalizedSolver(256)
-        a0 = solver.coeffs_from_values(perturbation_profile(1.05, 256))
-        a, pointwise = solver.solve(a0, 1.05)
-        assert solver.last_iterations <= 10
+    def test_converges_quickly_at_1_05(self, monkeypatch):
+        # one Jacobian per Newton step
+        solver, steps = _NormalizedSolver(256), []
+        jacobian = solver.jacobian
+        monkeypatch.setattr(solver, "jacobian",
+                            lambda a, s: steps.append(s) or jacobian(a, s))
+        a, pointwise = solver.solve(_expansion_modes(1.05, 256), 1.05)
+        assert 0 < len(steps) <= 10
         assert pointwise < 1e-10
 
     def test_profile_residual_and_gauge(self):
@@ -123,11 +125,24 @@ class TestNewtonSolve:
 
     def test_cold_start_near_limit_falls_back(self):
         # far from small amplitude the expansion start fails; continuation
-        # from small s must still land on the wave
-        w = solve_periodic_wave(1.09, 1.0, n=512)
-        lin_amp = 2.0 * math.sqrt(6.0 * 0.09)
+        # from small s must still land on the wave that a branch reaches.
+        # 1.6e-3 below the corner speed n = 512 leaves a spectral tail of
+        # 1.5e-4 in the pointwise residual, so the profiles are compared
+        solver = _NormalizedSolver(512)
+        with pytest.raises(NoConvergence):
+            _checked_solve(solver, _expansion_modes(1.095, 512), 1.095)
+        w = solve_periodic_wave(1.095, 1.0, n=512)
+        lin_amp = 2.0 * math.sqrt(6.0 * 0.095)
         assert w.amplitude > lin_amp
-        assert ode_residual(w) < 1e-9
+        ref = continuation_branch(1.0, [1.01, 1.05, 1.09, 1.095], n=512)[-1]
+        assert np.max(np.abs(w.phi - ref.phi)) < 1e-12
+
+    def test_branch_starts_like_a_single_solve(self):
+        # the branch's first ratio used to skip the fallback and raise
+        # NoConvergence where the single solve converged
+        w = continuation_branch(1.0, [1.095], n=512)[0]
+        assert np.array_equal(w.phi, solve_periodic_wave(1.095, 1.0,
+                                                         n=512).phi)
 
     @settings(max_examples=25)
     @given(st.floats(1.005, 1.08))
@@ -169,15 +184,21 @@ class TestBadInputs:
         assert w.phi.shape == (6,) and w.amplitude > 0
 
 
-class TestWarmStart:
-    def test_coeffs_from_values_on_any_grid(self):
-        # cosine modes 1..10 on the solver's own 128 points; it keeps K = 63
-        solver = _NormalizedSolver(128)
-        a_true = np.zeros(63)
-        a_true[:10] = 1.0 / np.arange(1, 11) ** 2
-        vals = a_true[:10] @ np.cos(np.outer(np.arange(1, 11), _grid(128)))
-        assert np.max(np.abs(solver.coeffs_from_values(vals)
-                             - a_true)) < 1e-14
+class TestExpansionStart:
+    def test_modes_are_the_series_coefficients(self):
+        # in the solver's basis the (-1)^k signs and the grid from -pi
+        # cancel: the modes are the series' own, crest at -pi; n = 6 keeps
+        # K = 2 modes and drops cos 3x
+        s = 1.05
+        eps = math.sqrt(6.0 * (s - 1.0))
+        assert np.array_equal(_expansion_modes(s, 6), [-eps, eps ** 2 / 3])
+        for n in (8, 128, 512):
+            x = _grid(n)
+            series = (-eps * np.cos(x) + eps ** 2 / 3.0 * np.cos(2 * x)
+                      - 3.0 / 16.0 * eps ** 3 * np.cos(3 * x))
+            w = _NormalizedSolver(n).profile(_expansion_modes(s, n), s, 1.0)
+            assert np.max(np.abs(w.phi - series)) < 1e-15
+            assert int(np.argmax(w.phi)) == 0
 
 
 def dense_jacobian(solver, a, s):
@@ -202,9 +223,9 @@ def dense_jacobian(solver, a, s):
 def jacobian_case(request):
     n, s, start = request.param
     solver = _NormalizedSolver(n)
-    vals = (solve_periodic_wave(s, 1.0, n=n).phi if start == "converged"
-            else perturbation_profile(s, n))
-    return solver, solver.coeffs_from_values(vals), s
+    a = (_cold_solve(solver, s) if start == "converged"
+         else _expansion_modes(s, n))
+    return solver, a, s
 
 
 class TestJacobian:
