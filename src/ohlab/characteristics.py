@@ -12,11 +12,11 @@ ensemble is its rider: `co_evolve` is `simulate` with an `EnsembleRider`,
 which is told of every PDE step, steps the ensemble over it, asks for a
 sample when min V first reaches stop_slope, and lets the verdict judge the
 steeper of min V and the grid's min u_x.  So the ensemble takes the steps
-of `simulate`, on the same grid ladder and at the same lengths, and shares
-its sampling, verdict and record.  The ensemble's mid-step RK4 stages take
-G from the cubic Hermite interpolant of the step's two ends (Hairer,
-Norsett & Wanner, Solving ODEs I, II.6), fourth-order in the step length
-like the RK4 step.
+of `simulate`, on the same grid ladder and at the same flow-sized lengths,
+and shares its sampling, verdict and record.  The ensemble's mid-step RK4
+stages take G from the cubic Hermite interpolant of the step's two ends
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6), fourth-order in the step
+length like the RK4 step.
 """
 from __future__ import annotations
 
@@ -180,15 +180,17 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
     sample_stride with an `EnsembleRider`, plus the rider's trace.
 
     The PDE and the ensemble take the same steps, one PDE step per ensemble
-    step: `simulate`'s march, at config.dt on the config grid and at
-    dt*n/m on a coarser rung m.  Diagnostics are recorded every
-    sample_stride march steps, at the last step, and at the step where min
-    V first reaches stop_slope; each sample is judged by `slope_verdict` on
-    the steeper of min V and the grid's min u_x.  The record is
-    `simulate`'s, snapshots and final field included, and its config has
-    stride = sample_stride; it equals the record of a plain `simulate` at
-    that stride on the samples both take.  sample_stride keeps its own name
-    here and in the CLI while the benchmark calls it so.
+    step: `simulate`'s march, each step sized by the flow and never shorter
+    than dt*n/m on rung m.  Diagnostics are recorded at every multiple of
+    sample_stride*n/m steps of dt on the current rung m (for sample_stride
+    > 1 the march lands on these marks; at 1, after every step), at the
+    last step, and at the step where min V first reaches stop_slope; each
+    sample is judged by `slope_verdict` on the steeper of min V and the
+    grid's min u_x.  The record is `simulate`'s, snapshots and final field
+    included, and its config has stride = sample_stride; it equals the
+    record of a plain `simulate` at that stride on the samples both take.
+    sample_stride keeps its own name here and in the CLI while the
+    benchmark calls it so.
 
     Raises ValueError for stride != 1 (sampling is set by sample_stride)
     and for n_xi < 1 or sample_stride < 1.

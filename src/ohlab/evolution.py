@@ -24,12 +24,18 @@ top eighth of its modes exceeds that level.  The spectrum of an analytic
 field decays exponentially, so the top of the band is where a grid that is
 too coarse shows first (Sulem, Sulem & Frisch, J. Comput. Phys. 50:138,
 1983).  The ladder never shrinks and never passes n, so a run with n <= 256
-never leaves its grid.  dt is the step on the config grid; a rung of m
-points steps at dt*n/m, which keeps the finest rung's CFL number
-h*pi*m*sup|u|, and time is counted in steps of dt so that every label is an
-exact multiple of it.  Samples are taken on the current rung; snapshots
-and the final field are emitted on the config grid, and the record lists
-every rung with the time the run reached it.
+never leaves its grid.
+
+Each step is sized by the flow.  Time is counted in steps of dt, so that
+every label is an exact multiple of it, and a step on rung m spans the
+larger of n/m of them (the config's dt on the config grid) and the most
+that keep the CFL number h*pi*m*S at or below _NU, with S = (2/m) sum_k
+|c_k| >= sup|u| the Wiener bound of the step's start.  The march lands on
+t_max, on snapshot times and, for stride > 1, on sample marks, so a stride
+samples the same lattice whatever the step lengths.  Samples are taken on
+the current rung; snapshots and the final field are emitted on the config
+grid, and the record lists every rung with the time the run reached it,
+the number of steps and the shortest and longest step on each rung.
 """
 from __future__ import annotations
 
@@ -118,6 +124,9 @@ class SimulationRecord:
     snapshots: dict = field(default_factory=dict)
     final_field: PeriodicField | None = None
     grids: list = field(default_factory=list)   # (t, n) at each rung reached
+    steps: int = 0                # march steps the run completed
+    # (n, shortest, longest) step length on each rung stepped on
+    step_lengths: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -172,6 +181,8 @@ class SpectralWorkspace:
 _TAIL = 1e-13   # largest top-of-band mode, relative to the peak mode, that
                 # a rung still counts as resolved to round-off
 _BASE = 256     # the smallest rung of the grid ladder
+_NU = 1.0       # the largest CFL number h*pi*m*S a step is lengthened to;
+                # RK4's limit on the imaginary axis is 2*sqrt(2)
 
 
 def _resolves(coeffs: np.ndarray, m: int) -> bool:
@@ -183,7 +194,7 @@ def _resolves(coeffs: np.ndarray, m: int) -> bool:
 
 
 def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
-          n_steps: int, *, grids: list, stops=()):
+          n_steps: int, *, grids: list, stops=(), stride: int = 1):
     """Yield (i, t, h, coeffs, rung, tendency) after march step i = 0, 1,
     ...: h is the step's length (0 at i = 0), t the time it reached, coeffs
     on the grid `rung`, and rhs(coeffs) there, which is also the next step's
@@ -195,11 +206,15 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
     unresolved.  Mode 0 and the Nyquist mode are pinned to zero.  Each rung
     reached is appended to the caller's list `grids` as (t, n).
 
-    Time is counted in steps of dt on `grid`.  A step on rung m spans
-    grid.n/m of them, h = dt*grid.n/m, which keeps the CFL number of the
-    finest rung, and t = I*dt for the integer count I.  The march ends at
-    I = n_steps; the one step that would pass n_steps or a count in `stops`
-    is shortened to land on it.
+    Time is counted in steps of dt on `grid`, and t = I*dt for the integer
+    count I.  A step on rung m spans max(grid.n/m, floor(_NU / (dt*pi*m*S)))
+    of them, where S = (2/m) sum_k |c_k| >= sup|u| is the Wiener bound at
+    the step's start: the step is sized by the flow, to a CFL number
+    h*pi*m*S of at most _NU, but is never shorter than dt*grid.n/m, and S =
+    0 keeps that length.  The march ends at I = n_steps; a step that would
+    pass n_steps, a count in `stops` or, for stride > 1, a multiple of
+    stride*grid.n/m (a sample mark of `simulate`) is shortened to land on
+    it.
 
     Yielded arrays are never modified afterwards.  Raises NumericalFailure
     at the first step whose coefficients are not all finite.
@@ -223,7 +238,13 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
     for i in itertools.count(1):
         if count == n_steps:
             return
-        span = min(grid.n // m, marks[0] - count)
+        land = marks[0]
+        if stride > 1:
+            every = stride * (grid.n // m)
+            land = min(land, (count // every + 1) * every)
+        wiener = 2.0 * np.abs(coeffs).sum() / m
+        reach = _NU / (dt * np.pi * m * wiener) if wiener > 0 else 0.0
+        span = int(min(land - count, max(grid.n // m, reach)))
         h = span * dt
         coeffs = ws.rk4_step(coeffs, h, gamma, tendency)
         count += span
@@ -255,13 +276,17 @@ def slope_verdict(config: SimulationConfig, t: float, min_slope: float,
 def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     """Integrate until the horizon, slope blow-up, or numerical failure.
 
-    The march steps at config.dt on the config grid and at dt*n/m on a
-    coarser rung m, and lands on t_max and on every snapshot time, which
-    `SimulationConfig` requires to be multiples of dt.
-    Diagnostics are sampled every `stride` march steps and at the last step,
-    on the current rung's grid; each sample after t = 0 is judged by
-    `slope_verdict`.  Snapshots and the final field are on the config grid.
-    The Q and E drifts are relative to the t = 0 sample.
+    The march sizes each step by the flow, never shorter than dt*n/m on
+    rung m, and lands on t_max and on every snapshot time, which
+    `SimulationConfig` requires to be multiples of dt.  With stride 1
+    diagnostics are sampled after every march step; with stride k > 1 at
+    every multiple of k*n/m steps of dt on the current rung m, which the
+    march lands on like snapshots; and always at the last step.  Samples
+    are taken on the current rung's grid, and each one after t = 0 is
+    judged by `slope_verdict`.  Snapshots and the final field are on the
+    config grid.  The Q and E drifts are relative to the t = 0 sample.  The
+    record counts the march steps and keeps the shortest and longest step
+    taken on each rung.
 
     A rider, if given, rides the march: `rider.advance_to(i, t, h, coeffs,
     rung, tendency)` is called with every step `march` yields, before its
@@ -277,21 +302,31 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     snap_left = sorted((k * config.dt, t) for t, k in marks.items())
     t_end = n_steps * config.dt
     times, samples, snapshots, grids = [], [], {}, []
+    stepped = {}   # rung size -> (shortest, longest) step taken on it
     steps = march(grid, config.initial.sample(grid).coefficients, config.dt,
-                  config.gamma, n_steps, grids=grids, stops=marks.values())
+                  config.gamma, n_steps, grids=grids, stops=marks.values(),
+                  stride=config.stride)
 
     def on_grid(coeffs):
         return PeriodicField(grid, coefficients=resize_coefficients(
             coeffs, config.n))
 
+    def on_mark(t, rung):
+        every = config.stride * (config.n // rung.n)
+        return config.stride == 1 or round(t / config.dt) % every == 0
+
     terminated = Termination.Horizon
     try:
         for step in steps:
-            i, t, _, coeffs, rung, _ = step
+            i, t, h, coeffs, rung, _ = step
+            if i:   # step i was taken on the rung step i - 1 reached
+                lo, hi = stepped.get(taken_on, (h, h))
+                stepped[taken_on] = (min(lo, h), max(hi, h))
+            taken_on = rung.n
             asked = rider is not None and rider.advance_to(*step)
             while snap_left and t >= snap_left[0][0]:
                 snapshots[snap_left.pop(0)[1]] = on_grid(coeffs)
-            if i % config.stride == 0 or t == t_end or asked:
+            if on_mark(t, rung) or t == t_end or asked:
                 d = field_diagnostics(coeffs, rung, config.gamma)
                 times.append(t)
                 samples.append(d)
@@ -310,7 +345,8 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
         q_drift=(q - q[0]) / max(abs(q[0]), 1e-16),
         e_drift=(e - e[0]) / max(abs(e[0]), 1e-16),
         terminated=terminated, snapshots=snapshots,
-        final_field=on_grid(coeffs), grids=grids)
+        final_field=on_grid(coeffs), grids=grids, steps=i,
+        step_lengths=[(n, *stepped[n]) for n in sorted(stepped)])
 
 
 _FIT_START = 5.0   # the fit window opens at this multiple of min u0'
@@ -378,6 +414,8 @@ def run_summary(record: SimulationRecord,
         "config": record.config.summary(),
         "terminated": record.terminated.value,
         "grids": record.grids,
+        "steps": record.steps,
+        "step_lengths": record.step_lengths,
         "snapshots_missed": [t for t in sorted(record.config.snapshot_times)
                              if t not in record.snapshots],
         "blowup": None,

@@ -26,6 +26,9 @@ from .tables import write_csv
 CREST_SPEED_RATIO = math.pi ** 2 / 9.0
 CORNER_COEFFICIENT = 1.0 / 18.0
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 50   # residual 2-norm, iteration cap
+# a solve has stalled when its residual 2-norm is still above _STALL_FACTOR
+# times its value _STALL_STEPS Newton steps earlier
+_STALL_STEPS, _STALL_FACTOR = 4, 0.99
 
 
 @dataclass(frozen=True)
@@ -138,12 +141,15 @@ class _NormalizedSolver:
     def solve(self, a: np.ndarray, s: float):
         """Newton iteration from a on the Galerkin system, to a Galerkin
         residual 2-norm below _NEWTON_TOL within _NEWTON_MAX_ITER steps; no
-        iterate is modified in place.  The returned pointwise residual also
+        iterate is modified in place.  It gives up early once the residual
+        has stalled, when _STALL_STEPS steps have cut it by less than 1 -
+        _STALL_FACTOR of its value.  The returned pointwise residual also
         carries the spectral truncation tail (modes above K excited by the
         quadratic terms), which no step inside the basis can remove, so it
         is reported rather than iterated on.
         """
         r, point_norm = self.residual(a, s)
+        norms = []
         for it in range(_NEWTON_MAX_ITER + 1):
             norm0 = np.linalg.norm(r)
             if norm0 < _NEWTON_TOL:
@@ -151,6 +157,10 @@ class _NormalizedSolver:
             if it == _NEWTON_MAX_ITER:
                 raise NoConvergence(
                     f"Newton iteration did not converge at s={s}")
+            if it >= _STALL_STEPS and \
+                    norm0 > _STALL_FACTOR * norms[it - _STALL_STEPS]:
+                raise NoConvergence(f"Newton iteration stalled at s={s}")
+            norms.append(norm0)
             delta = np.linalg.solve(self.jacobian(a, s), -r)
             for step in 0.5 ** np.arange(20):
                 trial = a + step * delta

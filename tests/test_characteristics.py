@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ohlab import characteristics
 from ohlab.characteristics import (CharacteristicEnsemble, CoSteppingProvider,
                                    advance, co_evolve, diffeomorphism_check,
                                    rate_products, seed, write_ensemble_csv,
@@ -22,11 +23,11 @@ def zero_field(n=64):
     return PeriodicField(g, values=np.zeros(n))
 
 
-def fed_provider(u0, gamma, dt, n_steps, grids=None):
+def fed_provider(u0, gamma, dt, n_steps, grids=None, stops=()):
     """A provider fed step 0 of u0's march to n_steps steps of dt, and the
     march for the rest."""
     steps = march(u0.grid, u0.coefficients, dt, gamma, n_steps,
-                  grids=[] if grids is None else grids)
+                  grids=[] if grids is None else grids, stops=stops)
     provider = CoSteppingProvider(gamma)
     provider.advance_to(*next(steps))
     return provider, steps
@@ -69,10 +70,11 @@ class TestProvider:
     def test_rides_the_grid_ladder(self):
         # a = 0.5 steepens fast: by t = 0.25 the field needs more than the
         # starting rung, and the fields are on the current rung's grid
-        grid = PeriodicGrid(1024)
+        grid = PeriodicGrid(512)
         u0 = two_mode_quantities(0.5, 0.0).sample(grid)
-        # dt = 2.5e-4 keeps the 256 rung's step of 4 dt stable on the fixed
-        # 1024 grid of the reference loop below (2e-3 is not)
+        # the march sizes steps by the flow on each rung, to a CFL number of
+        # up to 512/256 on the fixed 512 grid of the reference loop below;
+        # on a 1024 grid that loop is not stable at these lengths
         grids, lengths = [], []
         provider, steps = fed_provider(u0, 1.0, 2.5e-4, 1000, grids)
         for step in steps:
@@ -80,8 +82,8 @@ class TestProvider:
             lengths.append(provider.h)
         assert grids[0] == (0.0, 256) and len(grids) >= 2
         assert provider.t == 0.25
-        # a step on the 256 rung spans 4 steps of dt, on the 512 rung 2
-        assert lengths[0] == 4 * 2.5e-4 and len(lengths) < 500
+        # the first step spans floor(1/(dt*pi*256*0.5)) = 9 steps of dt
+        assert lengths[0] == 9 * 2.5e-4 and len(lengths) < 500
         assert all(f.grid.n == grids[-1][1]
                    for f in (provider.u, *provider.g))
         ws = SpectralWorkspace(grid)
@@ -100,11 +102,12 @@ class TestProvider:
         fixed 1024 grid."""
         grid = PeriodicGrid(1024)
         grids = []
-        # on the 1024 grid the 256 rung steps at 4 dt = h; the climb comes
-        # at t = 0.216, well before the march's end at t = 1000 h
+        # on the 1024 grid the 256 rung steps at least 4 dt = h, and a stop
+        # at every 4th step of dt cuts each step to h; the climb comes at
+        # t = 0.216, well before the march's end at t = 1000 h
         provider, steps = fed_provider(
             two_mode_quantities(0.5, 0.0).sample(grid), 1.0, h / 4, 4000,
-            grids)
+            grids, stops=range(4, 4000, 4))
         while len(grids) < 2:
             start = provider.u
             provider.advance_to(*next(steps))
@@ -123,18 +126,26 @@ class TestProvider:
         assert coarse >= 12.0 * fine
 
     def test_one_pde_step_per_ensemble_step(self, monkeypatch):
-        steps = []
+        steps, ensemble_steps = [], []
         rk4_step = SpectralWorkspace.rk4_step
 
         def counted(ws, coeffs, dt, *args):
             steps.append(dt)
             return rk4_step(ws, coeffs, dt, *args)
 
+        def ensemble_step(ens, provider):
+            ensemble_steps.append(provider.h)
+            return advance(ens, provider)
+
         monkeypatch.setattr(SpectralWorkspace, "rk4_step", counted)
+        monkeypatch.setattr(characteristics, "advance", ensemble_step)
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64,
                                dt=1e-2, t_max=0.2)
         co_evolve(cfg, n_xi=8)
-        assert steps == [1e-2] * 20
+        # the flow allows floor(1/(dt*pi*64*0.05)) = 9 steps of dt, and the
+        # sample marks of sample_stride = 10 cut every second step to 1
+        assert steps == [9e-2, 1e-2] * 2
+        assert ensemble_steps == steps
 
     def test_four_rhs_calls_per_step(self, monkeypatch):
         # the tendency of each state is computed once, by the march, and is
@@ -150,8 +161,9 @@ class TestProvider:
         monkeypatch.setattr(SpectralWorkspace, "rhs", counted)
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64,
                                dt=1e-2, t_max=0.2)
-        co_evolve(cfg, n_xi=8)
-        assert len(calls) == 4 * 20 + 1
+        record, _ = co_evolve(cfg, n_xi=8)
+        assert record.steps == 4
+        assert len(calls) == 4 * record.steps + 1
         u0 = cfg.initial.sample(PeriodicGrid(64))
         provider, steps = fed_provider(u0, 1.0, 1e-2, 1)
         ens = seed(u0, 8)

@@ -389,6 +389,10 @@ class TestSimulateCommand:
         assert summary["blowup"]["C"] == pytest.approx(-1.0, abs=0.2)
         assert summary["grids"][0] == [0.0, 256]
         assert summary["grids"][-1][1] == 512
+        # one (n, shortest, longest) per rung stepped on
+        assert [r[0] for r in summary["step_lengths"]] == [256, 512]
+        assert all(0 < lo <= hi for _, lo, hi in summary["step_lengths"])
+        assert summary["steps"] > 0
         for name in ("timeseries.csv", "summary.json", "rate_products.csv",
                      "snapshot_t0.5.csv", "plot_timeseries.py",
                      "plot_rate_products.py"):
@@ -413,6 +417,10 @@ class TestCharacteristicsCommand:
         assert summary["sup_consistency"] < 1e-6
         assert 0.0 <= summary["min_v_vs_grid"] < 1e-3
         assert summary["grids"] == [[0.0, 256]]
+        # flow-sized steps of floor(1/(dt*pi*256*0.05)) = 2 dt on the 256
+        # grid, which land on every sample mark of sample_stride = 10
+        assert summary["steps"] == 25
+        assert summary["step_lengths"] == [[256, 0.02, 0.02]]
         assert (tmp_path / "ensemble.csv").exists()
         assert (tmp_path / "summary.json").read_text() == out
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from ohlab.characteristics import co_evolve
-from ohlab.evolution import (SimulationConfig, SimulationRecord,
+from ohlab.evolution import (_NU, SimulationConfig, SimulationRecord,
                              SpectralWorkspace, Termination, estimate_blowup,
                              march, run_summary, simulate, write_timeseries)
 from ohlab.fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
                            resize_coefficients)
 from ohlab.initial import sampled_data, two_mode_quantities
+from ohlab.scan import ScanConfig, scan
 
 TWO_PI = 2.0 * np.pi
 
@@ -191,18 +192,24 @@ def fixed_grid_run(cfg, lengths):
     return PeriodicField(grid, coefficients=c)
 
 
-def step_lengths(cfg):
-    """simulate(cfg) and the length of each RK4 step it took."""
+def step_lengths(cfg, on_rung=False):
+    """simulate(cfg) and the length of each RK4 step it took, as (rung
+    size, length) pairs if on_rung."""
     lengths = []
     rk4_step = SpectralWorkspace.rk4_step
 
     def recorded(ws, coeffs, dt, *args):
-        lengths.append(dt)
+        lengths.append((ws.n, dt) if on_rung else dt)
         return rk4_step(ws, coeffs, dt, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SpectralWorkspace, "rk4_step", recorded)
         return simulate(cfg), lengths
+
+
+def wiener(coeffs, m):
+    """S = (2/m) sum_k |c_k|, the bound on sup|u| that sizes a step."""
+    return 2.0 * np.abs(coeffs).sum() / m
 
 
 class TestGridLadder:
@@ -211,21 +218,28 @@ class TestGridLadder:
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=2048,
                                dt=1e-3, t_max=2.8, stride=100,
                                snapshot_times=(2.0,))
-        rec, lengths = step_lengths(cfg)
-        return rec, fixed_grid_run(cfg, lengths), lengths
+        return simulate(cfg)
 
-    def test_climbs_and_matches_fixed_grid(self, case1_to_2_8):
-        rec, fixed, lengths = case1_to_2_8
+    def test_climbs_and_matches_fixed_grid(self):
+        # a step sized by the flow on rung m has a CFL number of up to
+        # n/m * _NU on the config grid, and RK4 is stable on the imaginary
+        # axis only to 2*sqrt(2): on 2048 points the reference loop over
+        # the 256 rung's steps overflows, on 512 points it is stable
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=512,
+                               dt=1e-3, t_max=2.8, stride=100)
+        rec, lengths = step_lengths(cfg)
         assert rec.terminated is Termination.Horizon
-        assert len(rec.grids) >= 3          # start rung plus >= 2 climbs
-        # a step on rung m spans 2048/m steps of dt
-        assert lengths[0] == 8e-3 and lengths[-1] == 1e-3
+        assert [n for _, n in rec.grids] == [256, 512]
+        # the first step spans floor(1/(dt*pi*256*0.05)) = 24 steps of dt
+        assert lengths[0] == 24e-3
+        fixed = fixed_grid_run(cfg, lengths)
         err = np.max(np.abs(rec.final_field.values - fixed.values))
         assert err <= 1e-13
 
     def test_history_only_grows_and_ends_within_config_grid(self,
                                                             case1_to_2_8):
-        rec = case1_to_2_8[0]
+        rec = case1_to_2_8
+        assert len(rec.grids) >= 3          # start rung plus >= 2 climbs
         times, sizes = zip(*rec.grids)
         assert times[0] == 0.0 and sizes[0] == 256
         assert all(np.diff(times) > 0) and all(np.diff(sizes) > 0)
@@ -234,7 +248,7 @@ class TestGridLadder:
         assert times[-1] <= rec.times[-1]
 
     def test_snapshot_and_final_field_on_config_grid(self, case1_to_2_8):
-        rec = case1_to_2_8[0]
+        rec = case1_to_2_8
         # at t = 2 the run still steps on 256 points
         assert max(n for t, n in rec.grids if t <= 2.0) == 256
         for f in (rec.snapshots[2.0], rec.final_field):
@@ -245,9 +259,12 @@ class TestGridLadder:
     def test_small_grid_run_is_the_fixed_grid_run(self):
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=256,
                                dt=1e-3, t_max=0.5)
-        rec = simulate(cfg)
+        rec, lengths = step_lengths(cfg)
         assert rec.grids == [(0.0, 256)]
-        fixed = fixed_grid_run(cfg, [cfg.dt] * 500)
+        # sized by the flow, 24 then 23 steps of dt, and the last one lands
+        # on t_max
+        assert lengths == [24e-3] * 10 + [23e-3] * 11 + [7e-3]
+        fixed = fixed_grid_run(cfg, lengths)
         assert np.array_equal(rec.final_field.coefficients,
                               fixed.coefficients)
 
@@ -267,48 +284,134 @@ class TestGridLadder:
 
 
 class TestRungSteps:
-    # dt is the step on the config grid; a step on rung m spans n/m of them
+    # dt is the lattice unit: a step on rung m spans max(n/m, floor(_NU /
+    # (dt*pi*m*S))) steps of dt, shortened only to land on a mark
     def test_labels_count_steps_of_dt_on_every_rung(self):
         grid, grids, dt = PeriodicGrid(1024), [], 2.5e-4
         c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
-        count, rungs = 0, []
-        for i, t, h, _, rung, _ in march(grid, c0, dt, 1.0, 2000,
+        count, rungs, start = 0, [], None
+        for i, t, h, c, rung, _ in march(grid, c0, dt, 1.0, 2000,
                                          grids=grids):
             if i:
-                span = 1024 // rungs[-1]     # the rung the step was taken on
-                assert h == span * dt
+                m = rungs[-1]                # the rung the step was taken on
+                span = max(1024 // m,
+                           int(_NU / (dt * np.pi * m * wiener(start, m))))
+                span = min(span, 2000 - count)
+                assert h == span * dt, i
                 count += span
             assert t == count * dt, i
             rungs.append(rung.n)
+            start = c
         assert count == 2000
         assert {n for _, n in grids} == {256, 512, 1024}
 
     def test_last_step_lands_on_t_max(self):
-        # 1001 steps of dt: 250 steps of 4 dt on the 256 rung, then one of dt
-        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=1024,
+        # 1001 steps of dt: 45 steps of 24 down to 21 dt on the 256 rung,
+        # the last one shortened to 14 dt; n = 512 keeps the reference loop
+        # stable at these lengths (see test_climbs_and_matches_fixed_grid)
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=512,
                                dt=1e-3, t_max=1.001, stride=1000)
         rec, lengths = step_lengths(cfg)
         assert rec.grids == [(0.0, 256)]
-        assert lengths == [4e-3] * 250 + [1e-3]
+        assert lengths == ([24e-3] * 10 + [23e-3] * 11 + [22e-3] * 11
+                           + [21e-3] * 12 + [14e-3])
         assert rec.times[-1] == 1001 * 1e-3
         assert rec.times[-1] == pytest.approx(cfg.t_max, abs=1e-15)
         fixed = fixed_grid_run(cfg, lengths)
         assert np.max(np.abs(rec.final_field.values - fixed.values)) <= 1e-13
 
     def test_snapshot_off_the_rung_lattice_taken_at_its_time(self):
-        # t = 0.25 is 62.5 steps of 4 dt: the step from 0.248 is shortened
-        # to land on it, and the run to t_max = 0.25 takes the same steps
+        # t = 0.25 is 10 steps of 24 dt and 10 dt: the step from 0.24 is
+        # shortened to land on it, and the run to t_max = 0.25 takes the
+        # same steps
         d = two_mode_quantities(0.05, 0.0)
         cfg = SimulationConfig(d, n=1024, dt=1e-3, t_max=0.5,
                                snapshot_times=(0.25,))
         rec, lengths = step_lengths(cfg)
-        assert lengths[:63] == [4e-3] * 62 + [2e-3]
+        assert lengths[:11] == [24e-3] * 10 + [10e-3]
         assert run_summary(rec, None)["snapshots_missed"] == []
         exact = simulate(SimulationConfig(d, n=1024, dt=1e-3, t_max=0.25))
         assert exact.times[-1] == 0.25
         assert np.array_equal(rec.snapshots[0.25].coefficients,
                               exact.final_field.coefficients)
         assert rec.times[-1] == 0.5
+
+
+class TestStepRule:
+    @pytest.fixture(scope="class")
+    def breaking_steps(self):
+        """A run across three rungs with stride marks and a snapshot: each
+        step's rung, start state, length and end count."""
+        grid, grids, dt = PeriodicGrid(1024), [], 2.5e-4
+        c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
+        steps, start, rung, count = [], c0, None, 0
+        for i, t, h, c, to, _ in march(grid, c0, dt, 1.0, 2000, grids=grids,
+                                       stops=(1001,), stride=7):
+            if i:
+                count += int(round(h / dt))
+                steps.append((rung.n, start, h, count))
+            start, rung = c, to
+        assert {n for _, n in grids} == {256, 512, 1024}
+        return dt, steps
+
+    def test_no_step_shorter_than_the_rung_step_but_at_a_mark(self,
+                                                               breaking_steps):
+        dt, steps = breaking_steps
+        for m, _, h, count in steps:
+            marked = count in (1001, 2000) or count % (7 * 1024 // m) == 0
+            assert h >= dt * (1024 // m) or marked, count
+
+    def test_longer_steps_keep_the_cfl_number(self, breaking_steps):
+        dt, steps = breaking_steps
+        longer = [(m, c, h) for m, c, h, _ in steps if h > dt * (1024 // m)]
+        assert longer
+        for m, c, h in longer:
+            assert h * np.pi * m * wiener(c, m) <= _NU
+
+    def test_zero_datum_steps_at_the_rung_step(self):
+        # S = 0 allows any step; the march keeps n/m steps of dt
+        grid = PeriodicGrid(1024)
+        lengths = [h for i, _, h, *_ in march(
+            grid, np.zeros(513, dtype=complex), 1e-3, 1.0, 100, grids=[])
+            if i]
+        assert lengths == [4e-3] * 25
+
+    def test_zero_data_scan_point(self, monkeypatch):
+        # a = b = 0 in a simulated scan steps at dt on its 64 points
+        lengths = []
+        rk4_step = SpectralWorkspace.rk4_step
+        monkeypatch.setattr(SpectralWorkspace, "rk4_step",
+                            lambda ws, c, h, *args: lengths.append(h)
+                            or rk4_step(ws, c, h, *args))
+        cfg = ScanConfig(a_range=(0.0, 0.0, 1), b_range=(0.0, 0.0, 1),
+                         criteria_only=False, n=64, dt=0.01, t_max=0.5)
+        (row,) = scan(cfg).rows
+        assert row["terminated"] == "Horizon"
+        assert lengths == [0.01] * 50
+
+    def test_control_keeps_its_sample_times(self, control_run):
+        # stride 10 on the 256 rung: a sample every 160 steps of dt, as when
+        # every march step spanned n/m of them
+        assert control_run.grids == [(0.0, 256)]
+        assert np.array_equal(control_run.times,
+                              np.arange(126) * 160 * control_run.config.dt)
+
+
+class TestStepRecord:
+    def test_steps_and_lengths_match_the_steps_taken(self):
+        cfg = SimulationConfig(two_mode_quantities(0.3, 0.0), n=512,
+                               dt=1e-3, t_max=0.5, stride=7,
+                               snapshot_times=(0.25,))
+        rec, taken = step_lengths(cfg, on_rung=True)
+        assert len(rec.grids) == 2
+        assert rec.steps == len(taken)
+        expect = [(m, min(h for n, h in taken if n == m),
+                   max(h for n, h in taken if n == m))
+                  for m in sorted({n for n, _ in taken})]
+        assert rec.step_lengths == expect
+        summary = run_summary(rec, None)
+        assert summary["steps"] == rec.steps
+        assert summary["step_lengths"] == expect
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -371,14 +474,28 @@ class TestSnapshots:
 
     def test_snapshot_between_samples_taken_at_its_time(self):
         # stride 7 samples at t = 0.98 and 1.05; the snapshot is the t = 1.0
-        # state all the same
+        # state all the same, that of a run to t = 1.0 on the same marks
         d = two_mode_quantities(0.05, 0.0)
         snap = simulate(SimulationConfig(d, n=256, dt=1e-2, t_max=2.0,
                                          stride=7, snapshot_times=(1.0,)))
-        exact = simulate(SimulationConfig(d, n=256, dt=1e-2, t_max=1.0))
+        assert 0.98 in snap.times and 1.05 in snap.times
+        exact = simulate(SimulationConfig(d, n=256, dt=1e-2, t_max=1.0,
+                                          stride=7))
         err = np.max(np.abs(snap.snapshots[1.0].values
                             - exact.final_field.values))
         assert err <= 1e-14
+
+    def test_stride_marks_shape_the_steps(self, record_property):
+        # stride 7 lands on every 7th step of dt, stride 1 steps across
+        # them, so the two runs differ by the RK4 step error, not round-off
+        d = two_mode_quantities(0.05, 0.0)
+        runs = [simulate(SimulationConfig(d, n=256, dt=1e-2, t_max=1.0,
+                                          stride=k)) for k in (1, 7)]
+        err = float(np.max(np.abs(runs[0].final_field.values
+                                  - runs[1].final_field.values)))
+        record_property("stride_1_vs_7", err)
+        print(f"stride 1 vs 7 at t = 1: {err:.2e}")
+        assert 1e-14 < err <= 1e-10
 
 
 class TestEstimator:

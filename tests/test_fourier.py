@@ -192,6 +192,24 @@ class TestQuadratureAndEvaluate:
         exact = 0.4 * np.cos(TWO_PI * pts) - 1.1 * np.sin(3 * TWO_PI * pts)
         assert np.max(np.abs(f.evaluate(pts) - exact)) < 1e-13
 
+    def test_evaluate_block_table_matches_the_direct_sum(self):
+        # k = B*j + r phases against one exponential per mode, over a full
+        # band of 400 modes and with a dropped mode (k = 7) inside it
+        n, modes = 1024, 400
+        rng = np.random.default_rng(12)
+        c = np.zeros(n // 2 + 1, dtype=complex)
+        c[1:modes] = n * (rng.standard_normal(modes - 1)
+                          + 1j * rng.standard_normal(modes - 1))
+        c[7] = 0.0
+        pts = rng.uniform(-1.0, 2.0, 256)
+        k = np.arange(1, modes)
+        direct = 2.0 * np.real(np.exp(1j * TWO_PI * np.outer(pts, k))
+                               @ c[1:modes]) / n
+        got = PeriodicField(grid(n), coefficients=c).evaluate(pts)
+        # either sum rounds its phases, 2 pi x k up to ~5e3, to ~1e-16 of
+        # their size: 1e-13 of the summed weights bounds the difference
+        assert np.max(np.abs(got - direct)) <= 1e-13 * 2 * np.abs(c).sum() / n
+
     def test_evaluate_periodic_extension(self):
         g = grid(64)
         f = PeriodicField.from_function(g, lambda x: np.cos(TWO_PI * x))

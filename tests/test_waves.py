@@ -137,6 +137,34 @@ class TestNewtonSolve:
         ref = continuation_branch(1.0, [1.01, 1.05, 1.09, 1.095], n=512)[-1]
         assert np.max(np.abs(w.phi - ref.phi)) < 1e-12
 
+    @staticmethod
+    def newton_steps(monkeypatch, n, s):
+        """The Newton steps (Jacobians) of a solve from the expansion at s,
+        and whether it converged."""
+        solver, steps = _NormalizedSolver(n), []
+        jacobian = solver.jacobian
+        monkeypatch.setattr(solver, "jacobian",
+                            lambda a, s: steps.append(s) or jacobian(a, s))
+        try:
+            solver.solve(_expansion_modes(s, n), s)
+        except NoConvergence:
+            return len(steps), False
+        return len(steps), True
+
+    def test_stalled_solve_gives_up_early(self, monkeypatch):
+        # from the expansion at (1.095, 512) the residual falls 0.668 ->
+        # 0.568 -> 0.562 and then by under 0.2% a step; the solve used to
+        # run all 50 steps before the fallback took over
+        steps, converged = self.newton_steps(monkeypatch, 512, 1.095)
+        assert not converged
+        assert steps == 6
+
+    def test_slow_solve_still_converges(self, monkeypatch):
+        # from the expansion at (1.093, 512) the residual falls by under
+        # 3.5% a step for about 20 steps before Newton's quadratic phase,
+        # but by 2.2% or more over any 4 of them: not a stall
+        assert self.newton_steps(monkeypatch, 512, 1.093) == (26, True)
+
     def test_branch_starts_like_a_single_solve(self):
         # the branch's first ratio used to skip the fallback and raise
         # NoConvergence where the single solve converged
