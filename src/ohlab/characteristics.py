@@ -12,11 +12,11 @@ ensemble is its rider: `co_evolve` is `simulate` with an `EnsembleRider`,
 which is told of every PDE step, steps the ensemble over it, asks for a
 sample when min V first reaches stop_slope, and lets the verdict judge the
 steeper of min V and the grid's min u_x.  So the ensemble takes the steps
-of `simulate`, on the same grid ladder and at the same flow-sized lengths,
-and shares its sampling, verdict and record.  The ensemble's mid-step RK4
-stages take G from the cubic Hermite interpolant of the step's two ends
-(Hairer, Norsett & Wanner, Solving ODEs I, II.6), fourth-order in the step
-length like the RK4 step.
+of `simulate`, on the same grid ladder and at the same lengths, sized by
+the flow and the linear waves, and shares its sampling, verdict and
+record.  The ensemble's mid-step RK4 stages take G from the cubic Hermite
+interpolant of the step's two ends (Hairer, Norsett & Wanner, Solving ODEs
+I, II.6), fourth-order in the step length like the RK4 step.
 """
 from __future__ import annotations
 
@@ -180,8 +180,8 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
     sample_stride with an `EnsembleRider`, plus the rider's trace.
 
     The PDE and the ensemble take the same steps, one PDE step per ensemble
-    step: `simulate`'s march, each step sized by the flow and never shorter
-    than dt*n/m on rung m.  Diagnostics are recorded at every multiple of
+    step: `simulate`'s march, each step sized by the flow and the linear
+    waves and never shorter than dt*n/m on rung m.  Diagnostics are recorded at every multiple of
     sample_stride*n/m steps of dt on the current rung m (for sample_stride
     > 1 the march lands on these marks; at 1, after every step), at the
     last step, and at the step where min V first reaches stop_slope; each

@@ -29,13 +29,16 @@ never leaves its grid.
 Each step is sized by the flow.  Time is counted in steps of dt, so that
 every label is an exact multiple of it, and a step on rung m spans the
 larger of n/m of them (the config's dt on the config grid) and the most
-that keep the CFL number h*pi*m*S at or below _NU, with S = (2/m) sum_k
-|c_k| >= sup|u| the Wiener bound of the step's start.  The march lands on
-t_max, on snapshot times and, for stride > 1, on sample marks, so a stride
-samples the same lattice whatever the step lengths.  Samples are taken on
-the current rung; snapshots and the final field are emitted on the config
-grid, and the record lists every rung with the time the run reached it,
-the number of steps and the shortest and longest step on each rung.
+that keep both the CFL number h*pi*m*S at or below _NU, with S = (2/m)
+sum_k |c_k| >= sup|u| the Wiener bound of the step's start, and the turn
+gamma*h/(2 pi) of mode 1 by the linear term, its fastest mode, at or
+below _TURN: the transport and the linear waves each hold the step to
+what RK4 resolves.  The march lands on t_max, on snapshot times and, for
+stride > 1, on sample marks, so a stride samples the same lattice
+whatever the step lengths.  Samples are taken on the current rung;
+snapshots and the final field are emitted on the config grid, and the
+record lists every rung with the time the run reached it, the number of
+steps and the shortest and longest step on each rung.
 """
 from __future__ import annotations
 
@@ -183,6 +186,15 @@ _TAIL = 1e-13   # largest top-of-band mode, relative to the peak mode, that
 _BASE = 256     # the smallest rung of the grid ladder
 _NU = 1.0       # the largest CFL number h*pi*m*S a step is lengthened to;
                 # RK4's limit on the imaginary axis is 2*sqrt(2)
+_TURN = 1 / 128  # the largest angle z = gamma*h/(2 pi) a lengthened step
+                 # turns mode 1 by; RK4's relative phase error is then
+                 # z^4/120 ~ 3e-11 per radian turned
+
+
+def _sample_every(stride: int, n: int, m: int) -> int:
+    """The counts of dt between two sample marks of a stride on rung m of
+    an n-point config grid."""
+    return stride * (n // m)
 
 
 def _resolves(coeffs: np.ndarray, m: int) -> bool:
@@ -207,14 +219,16 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
     reached is appended to the caller's list `grids` as (t, n).
 
     Time is counted in steps of dt on `grid`, and t = I*dt for the integer
-    count I.  A step on rung m spans max(grid.n/m, floor(_NU / (dt*pi*m*S)))
-    of them, where S = (2/m) sum_k |c_k| >= sup|u| is the Wiener bound at
-    the step's start: the step is sized by the flow, to a CFL number
-    h*pi*m*S of at most _NU, but is never shorter than dt*grid.n/m, and S =
-    0 keeps that length.  The march ends at I = n_steps; a step that would
-    pass n_steps, a count in `stops` or, for stride > 1, a multiple of
-    stride*grid.n/m (a sample mark of `simulate`) is shortened to land on
-    it.
+    count I.  A step on rung m spans max(grid.n/m, floor(min(_NU /
+    (dt*pi*m*S), 2 pi _TURN / (dt*gamma)))) of them, where S = (2/m) sum_k
+    |c_k| >= sup|u| is the Wiener bound at the step's start: the step is
+    sized by the flow, to a CFL number h*pi*m*S of at most _NU, and by the
+    linear term, which turns mode k at gamma/(2 pi k), to turn mode 1 by at
+    most _TURN; it is never shorter than dt*grid.n/m, and a zero field (S
+    = 0, which stays zero) keeps that length.  The march ends at I =
+    n_steps; a step that would pass n_steps, a count in `stops` or, for
+    stride > 1, a sample mark of `simulate` (see `_sample_every`) is
+    shortened to land on it.
 
     Yielded arrays are never modified afterwards.  Raises NumericalFailure
     at the first step whose coefficients are not all finite.
@@ -234,16 +248,18 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
     yield 0, 0.0, 0.0, coeffs, ws.grid, tendency
     # the counts to land on, in order, up to n_steps, the last one reached
     marks = sorted({*stops, n_steps} - {0})
+    turn = 2.0 * np.pi * _TURN / (gamma * dt)   # counts of dt
     count = 0
     for i in itertools.count(1):
         if count == n_steps:
             return
         land = marks[0]
         if stride > 1:
-            every = stride * (grid.n // m)
+            every = _sample_every(stride, grid.n, m)
             land = min(land, (count // every + 1) * every)
         wiener = 2.0 * np.abs(coeffs).sum() / m
-        reach = _NU / (dt * np.pi * m * wiener) if wiener > 0 else 0.0
+        reach = (min(_NU / (dt * np.pi * m * wiener), turn) if wiener > 0
+                 else 0.0)
         span = int(min(land - count, max(grid.n // m, reach)))
         h = span * dt
         coeffs = ws.rk4_step(coeffs, h, gamma, tendency)
@@ -276,12 +292,13 @@ def slope_verdict(config: SimulationConfig, t: float, min_slope: float,
 def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     """Integrate until the horizon, slope blow-up, or numerical failure.
 
-    The march sizes each step by the flow, never shorter than dt*n/m on
-    rung m, and lands on t_max and on every snapshot time, which
-    `SimulationConfig` requires to be multiples of dt.  With stride 1
-    diagnostics are sampled after every march step; with stride k > 1 at
-    every multiple of k*n/m steps of dt on the current rung m, which the
-    march lands on like snapshots; and always at the last step.  Samples
+    The march sizes each step by the flow and the linear waves, never
+    shorter than dt*n/m on rung m, and lands on t_max and on every
+    snapshot time, which `SimulationConfig` requires to be multiples of
+    dt.  With stride 1 diagnostics are sampled after every march step;
+    with stride k > 1 at every multiple of k*n/m steps of dt on the
+    current rung m, which the march lands on like snapshots; and always at
+    the last step.  Samples
     are taken on the current rung's grid, and each one after t = 0 is
     judged by `slope_verdict`.  Snapshots and the final field are on the
     config grid.  The Q and E drifts are relative to the t = 0 sample.  The
@@ -312,7 +329,7 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
             coeffs, config.n))
 
     def on_mark(t, rung):
-        every = config.stride * (config.n // rung.n)
+        every = _sample_every(config.stride, config.n, rung.n)
         return config.stride == 1 or round(t / config.dt) % every == 0
 
     terminated = Termination.Horizon

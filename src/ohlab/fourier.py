@@ -14,7 +14,6 @@ data all read it.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -122,42 +121,41 @@ class PeriodicField:
     def evaluate(self, points) -> np.ndarray:
         """Trigonometric interpolant at arbitrary points (vectorized).
 
-        Modes with negligible coefficients are dropped and the sum ends at
-        the highest mode kept, so the cost tracks the effective bandwidth of
-        the field, not the grid size.  The phases come from a block table:
-        with k = B*j + r and B ~ sqrt(K) for K modes, e^(i theta k) =
-        e^(i theta B j) e^(i theta r), so two tables of P*sqrt(K)
-        exponentials, one matrix product and one row sum replace the P*K
-        exponentials of P points.
+        Modes with negligible coefficients are dropped so the cost tracks the
+        effective bandwidth of the field, not the grid size.
         """
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         c = self.coefficients
-        n = self.grid.n
-        mags = np.abs(c)
-        tol = 1e-15 * (mags.max() or 1.0)
-        kept = np.nonzero(mags[: n // 2] > tol)[0]  # Nyquist excluded
-        if kept.size == 0:
+        active = _kept_modes(c)
+        if active.size == 0:
             return np.zeros_like(pts)
-        modes = kept[-1] + 1
-        block = math.isqrt(modes - 1) + 1           # ceil(sqrt(modes))
-        rows = -(-modes // block)
-        weights = np.zeros(rows * block, dtype=complex)
-        weights[kept] = c[kept] / n
-        weights[1:] *= 2.0  # rfft stores only k >= 0
-        # one exponential call for both tables: e^(i theta r), r < B, then
-        # e^(i theta B j), j < K/B
-        k = np.concatenate((np.arange(block), block * np.arange(rows)))
-        table = np.exp(np.outer((2j * np.pi / self.grid.length) * pts, k))
-        inner = table[:, :block] @ weights.reshape(rows, block).T
-        return np.einsum("pj,pj->p", inner, table[:, block:]).real
+        theta = (2.0 * np.pi / self.grid.length) * pts
+        phases = np.exp(1j * np.outer(theta, active))
+        weights = c[active] / self.grid.n
+        weights[active > 0] *= 2.0  # rfft stores only k >= 0
+        return np.real(phases @ weights)
 
     def __repr__(self):
         return f"PeriodicField(n={self.grid.n}, length={self.grid.length})"
 
 
+def _kept_modes(c: np.ndarray) -> np.ndarray:
+    """The modes whose coefficients lie above 1e-15 of the peak; the rest,
+    and the Nyquist mode (zero throughout), are negligible."""
+    mags = np.abs(c)
+    active = np.nonzero(mags > 1e-15 * (mags.max() or 1.0))[0]
+    return active[active < len(c) - 1]
+
+
 def spectral_derivative(f: PeriodicField) -> PeriodicField:
-    return PeriodicField(f.grid,
-                         coefficients=f.coefficients * f.grid.deriv_multiplier)
+    """The derivative of f over its non-negligible modes: differentiating
+    the others would multiply their round-off by k and lift hundreds of
+    them past `evaluate`'s drop level."""
+    c = f.coefficients
+    out = np.zeros_like(c)
+    kept = _kept_modes(c)
+    out[kept] = c[kept] * f.grid.deriv_multiplier[kept]
+    return PeriodicField(f.grid, coefficients=out)
 
 
 class FieldDiagnostics(NamedTuple):

@@ -142,9 +142,10 @@ class TestProvider:
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64,
                                dt=1e-2, t_max=0.2)
         co_evolve(cfg, n_xi=8)
-        # the flow allows floor(1/(dt*pi*64*0.05)) = 9 steps of dt, and the
-        # sample marks of sample_stride = 10 cut every second step to 1
-        assert steps == [9e-2, 1e-2] * 2
+        # the flow allows floor(1/(dt*pi*64*0.05)) = 9 steps of dt and the
+        # turn of mode 1 floor(2 pi _TURN/dt) = 4, and the sample marks of
+        # sample_stride = 10 cut every third step to 2
+        assert steps == [4e-2, 4e-2, 2e-2] * 2
         assert ensemble_steps == steps
 
     def test_four_rhs_calls_per_step(self, monkeypatch):
@@ -162,7 +163,7 @@ class TestProvider:
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=64,
                                dt=1e-2, t_max=0.2)
         record, _ = co_evolve(cfg, n_xi=8)
-        assert record.steps == 4
+        assert record.steps == 6
         assert len(calls) == 4 * record.steps + 1
         u0 = cfg.initial.sample(PeriodicGrid(64))
         provider, steps = fed_provider(u0, 1.0, 1e-2, 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ohlab.characteristics import co_evolve
-from ohlab.evolution import (_NU, SimulationConfig, SimulationRecord,
+from ohlab.evolution import (_NU, _TURN, SimulationConfig, SimulationRecord,
                              SpectralWorkspace, Termination, estimate_blowup,
                              march, run_summary, simulate, write_timeseries)
 from ohlab.fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
@@ -96,6 +96,24 @@ class TestLinearDispersion:
         x = rec.final_field.grid.x
         exact = np.cos(TWO_PI * x - t / TWO_PI)
         assert np.max(np.abs(rec.final_field.values - exact)) < 1e-6
+
+    @pytest.mark.parametrize("a,gamma,dt,t_max", [(1e-4, 1.0, 0.01, 100.0),
+                                                  (0.005, 100.0, 1e-4, 1.0)])
+    def test_small_data_steps_keep_the_phase(self, a, gamma, dt, t_max):
+        # small data: the turn of mode 1, not S, sizes the lengthened
+        # steps and keeps RK4's rotation accurate; sized by S alone, the
+        # first step would span ~5000 (resp. ~10000) counts of dt and mode
+        # 1 would grow ~150-fold (resp. ~2500-fold) by t_max
+        cfg = SimulationConfig(two_mode_quantities(a, 0.0), gamma=gamma,
+                               n=64, dt=dt, t_max=t_max)
+        rec = simulate(cfg)
+        ((_, _, longest),) = rec.step_lengths
+        assert dt < longest and gamma * longest / TWO_PI <= _TURN
+        t = rec.times[-1]
+        assert t == t_max
+        x = rec.final_field.grid.x
+        exact = a * np.cos(TWO_PI * x - gamma * t / TWO_PI)
+        assert np.max(np.abs(rec.final_field.values - exact)) < 1e-6 * a
 
     def test_amplitude_preserved(self):
         cfg = SimulationConfig(two_mode_quantities(1.0, 0.0), n=64, dt=0.01,
@@ -220,11 +238,27 @@ class TestGridLadder:
                                snapshot_times=(2.0,))
         return simulate(cfg)
 
+    def test_climbs_twice_and_matches_fixed_grid(self):
+        # at gamma = 4 the turn of mode 1 holds a step to 2 pi _TURN/4 =
+        # 12.3e-3, under the 24.8e-3 that S = 0.05 allows on the 256 rung:
+        # on the 1024 points of the reference loop that is a CFL number of
+        # ~2, inside RK4's 2*sqrt(2).  Sized by S, a step on rung m has up
+        # to n/m * _NU there, and the 1024-point loop over the 256 rung's
+        # steps at gamma = 1 is not stable
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), gamma=4.0,
+                               n=1024, dt=1e-3, t_max=3.0, stride=100)
+        rec, lengths = step_lengths(cfg)
+        assert rec.terminated is Termination.Horizon
+        assert [n for _, n in rec.grids] == [256, 512, 1024]
+        assert lengths[0] == 12e-3
+        assert max(h for m, _, h in rec.step_lengths if m == 512) > 2e-3
+        fixed = fixed_grid_run(cfg, lengths)
+        err = np.max(np.abs(rec.final_field.values - fixed.values))
+        assert err <= 1e-13
+
     def test_climbs_and_matches_fixed_grid(self):
-        # a step sized by the flow on rung m has a CFL number of up to
-        # n/m * _NU on the config grid, and RK4 is stable on the imaginary
-        # axis only to 2*sqrt(2): on 2048 points the reference loop over
-        # the 256 rung's steps overflows, on 512 points it is stable
+        # sized by S: a step on rung m has a CFL number of up to n/m * _NU
+        # on the config grid, stable for the reference loop on 512 points
         cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=512,
                                dt=1e-3, t_max=2.8, stride=100)
         rec, lengths = step_lengths(cfg)
@@ -294,8 +328,9 @@ class TestRungSteps:
                                          grids=grids):
             if i:
                 m = rungs[-1]                # the rung the step was taken on
-                span = max(1024 // m,
-                           int(_NU / (dt * np.pi * m * wiener(start, m))))
+                span = max(1024 // m, int(min(
+                    _NU / (dt * np.pi * m * wiener(start, m)),
+                    TWO_PI * _TURN / dt)))
                 span = min(span, 2000 - count)
                 assert h == span * dt, i
                 count += span
@@ -367,6 +402,7 @@ class TestStepRule:
         assert longer
         for m, c, h in longer:
             assert h * np.pi * m * wiener(c, m) <= _NU
+            assert h / TWO_PI <= _TURN
 
     def test_zero_datum_steps_at_the_rung_step(self):
         # S = 0 allows any step; the march keeps n/m steps of dt
