@@ -101,13 +101,14 @@ class _NormalizedSolver:
     mode 0 vanishes ((s - psi) psi'' - psi'^2 = ((s - psi) psi')' and psi has
     zero mean), so the projected system is square.
 
-    Column k of the Jacobian projects (G - k^2 F) cos kx + 2k H sin kx, with
-    F = s - psi, G = 1 - psi'', H = psi', whose cosine, cosine and sine
-    coefficients F_p = (2s, -a_p), G_p = (2, p^2 a_p), H_p = (0, -p a_p),
-    p = 0..K, extend to p < 0 as even, even and odd.  Product to sum, exact
-    on the m grid since every product stays below mode 3K < m, gives
-        J[j,k] = (E_(k-j) + E_(k+j)) / 2,   E_p = G_p - k^2 F_p + 2k H_p:
-    Toeplitz plus Hankel, O(K^2) to assemble and on no grid.
+    The residual is s psi'' - (psi^2)''/2 + psi, so its derivative along
+    cos kx is (1 - s k^2) cos kx + (psi cos kx)'' with the sign flipped.
+    Product to sum, psi cos kx = sum_p (a_p/2)(cos (p-k)x + cos (p+k)x),
+    and the cos jx coefficient of minus its second derivative gives
+        J[j,k] = (j^2/2)(a_|k-j| + a_(k+j)) + delta_jk (1 - s k^2),
+    with a_0 = 0 and a_p = 0 for p > K: exact, because the residual's
+    modes above K are dropped by the projection, not aliased into it.
+    One window view over the a_|p| assembles it in O(K^2), on no grid.
     """
 
     def __init__(self, n: int = 256):
@@ -129,14 +130,14 @@ class _NormalizedSolver:
         return self.sign * proj, float(np.max(np.abs(r)))
 
     def jacobian(self, a: np.ndarray, s: float) -> np.ndarray:
-        k, kmax = self.k, len(self.k)
-        c = np.zeros((3, 3 * kmax))            # F, G, H at p = 1-K .. 2K
-        c[:, kmax:2 * kmax] = -a, k * k * a, -k * a
-        c[:2, kmax - 1] = 2.0 * s, 2.0
-        c[:, :kmax - 1] = c[:, 2 * kmax - 2:kmax - 1:-1] * [[1], [1], [-1]]
-        f, g, h = (windows(c[:, :2 * kmax - 1], kmax, axis=1)[:, ::-1]
-                   + windows(c[:, kmax + 1:], kmax, axis=1))
-        return 0.5 * (g - k * k * f) + k * h
+        kmax, k2 = len(a), self.k * self.k
+        # row i of w holds a_|p| from p = i - K: a_|k-j| at row K - j + 1,
+        # a_(k+j) at row K + j + 1, column k - 1
+        w = windows(np.concatenate((a[::-1], [0.0], a, np.zeros(kmax))),
+                    kmax)
+        jac = (0.5 * k2)[:, None] * (w[kmax:0:-1] + w[kmax + 2:])
+        jac[np.diag_indices(kmax)] += 1.0 - s * k2
+        return jac
 
     def solve(self, a: np.ndarray, s: float):
         """Newton iteration from a on the Galerkin system, to a Galerkin
@@ -176,32 +177,54 @@ class _NormalizedSolver:
         return WaveProfile(_grid(self.n), gamma * psi, s * gamma, gamma)
 
 
+def _eps(s: float) -> float:
+    """The small-amplitude parameter eps = sqrt(6 (s - 1)): the modes are
+    smooth in eps, not in s, since a = O(eps) near s = 1."""
+    return math.sqrt(max(6.0 * (s - 1.0), 0.0))
+
+
 def _checked_solve(solver: _NormalizedSolver, a0: np.ndarray,
                    s: float) -> np.ndarray:
-    """Newton solve that rejects collapse onto the trivial branch.
+    """Newton solve that rejects collapse onto the trivial branch and
+    waves whose crest reaches the speed.
 
     psi = 0 satisfies the equation at every speed and attracts Newton when
     the start is too far from the wave, so a 'converged' answer with less
-    than half the linear-theory amplitude is treated as a failure.
+    than half the linear-theory amplitude is treated as a failure.  So is
+    one with max psi >= s: there (s - psi) psi'' is singular, and the
+    Galerkin system has spurious solutions far from the wave.
     """
     a, _ = solver.solve(a0, s)
-    lin_amp = 2.0 * math.sqrt(max(6.0 * (s - 1.0), 0.0))
-    if np.ptp(solver._fields(a)[0]) < 0.5 * lin_amp:
+    psi = solver._fields(a)[0]
+    if np.ptp(psi) < _eps(s):           # half of the linear 2 eps
         raise NoConvergence(f"collapsed onto the zero solution at s={s}")
+    if psi.max() >= s:
+        raise NoConvergence(f"crest at or above the speed at s={s}")
     return a
 
 
-def _continue_to(solver: _NormalizedSolver, a: np.ndarray, s_from: float,
-                 s_to: float, depth: int = 12) -> np.ndarray:
-    # warm-start continuation with step bisection on failure
+def _predict(back, last, s: float):
+    """Modes at s on the secant in eps through the solutions back and last,
+    each an (s, a) pair; a repeated ratio (zero denominator) gives last's."""
+    (s0, a0), (s1, a1) = back, last
+    e0, e1 = _eps(s0), _eps(s1)
+    if e1 == e0:
+        return a1
+    return a1 + (_eps(s) - e1) / (e1 - e0) * (a1 - a0)
+
+
+def _continue_to(solver: _NormalizedSolver, back, last, s_to: float,
+                 depth: int = 12) -> np.ndarray:
+    """The wave at s_to, from the secant predictor through back and last;
+    a failed solve bisects the step in s, with the same predictor."""
     try:
-        return _checked_solve(solver, a, s_to)
+        return _checked_solve(solver, _predict(back, last, s_to), s_to)
     except NoConvergence:
         if depth == 0:
             raise
-        mid = 0.5 * (s_from + s_to)
-        a_mid = _continue_to(solver, a, s_from, mid, depth - 1)
-        return _continue_to(solver, a_mid, mid, s_to, depth - 1)
+        mid = 0.5 * (last[0] + s_to)
+        a_mid = _continue_to(solver, back, last, mid, depth - 1)
+        return _continue_to(solver, last, (mid, a_mid), s_to, depth - 1)
 
 
 def _expansion_modes(s: float, n: int) -> np.ndarray:
@@ -209,7 +232,7 @@ def _expansion_modes(s: float, n: int) -> np.ndarray:
     expansion -eps cos x + (eps^2/3) cos 2x - (3/16) eps^3 cos 3x of the
     normalized wave at speed s = 1 + eps^2/6, crest at +-pi (n = 6 drops
     cos 3x)."""
-    eps = math.sqrt(max(6.0 * (s - 1.0), 0.0))
+    eps = _eps(s)
     a = np.zeros(n // 2 + 2)
     a[:3] = -eps, eps ** 2 / 3.0, -3.0 / 16.0 * eps ** 3
     return a[:n // 2 - 1]
@@ -217,13 +240,14 @@ def _expansion_modes(s: float, n: int) -> np.ndarray:
 
 def _cold_solve(solver: _NormalizedSolver, s: float) -> np.ndarray:
     """The wave at s from the expansion; a start too far from the wave falls
-    back to continuation from s0 = min(1 + (s - 1)/4, 1.01)."""
+    back to continuation from s0 = min(1 + (s - 1)/4, 1.01), on the secant
+    from the bifurcation point."""
     try:
         return _checked_solve(solver, _expansion_modes(s, solver.n), s)
     except NoConvergence:
         s0 = min(1.0 + 0.25 * (s - 1.0), 1.01)
         a = _checked_solve(solver, _expansion_modes(s0, solver.n), s0)
-        return _continue_to(solver, a, s0, s)
+        return _continue_to(solver, (1.0, 0.0), (s0, a), s)
 
 
 def _check_inputs(gamma: float, n: int, ratios: list) -> None:
@@ -254,17 +278,21 @@ def solve_periodic_wave(c: float, gamma: float,
 
 
 def continuation_branch(gamma: float, speed_ratios, n: int = 512):
-    """Sweep of solves over increasing c/gamma; returns the list of profiles
-    in input order.  The first ratio is solved like `solve_periodic_wave`,
-    the rest from the previous solution, with oversized parameter steps
-    bisected automatically."""
+    """Sweep of solves over the speed ratios c/gamma; returns the list of
+    profiles in input order.  The first ratio is solved like
+    `solve_periodic_wave`.  Each later one starts from the secant in eps
+    through the last two solutions (the bifurcation point (1, 0) stands in
+    before the second), with oversized parameter steps bisected
+    automatically."""
     ratios = list(speed_ratios)
     _check_inputs(gamma, n, ratios)
     solver = _NormalizedSolver(n)
     a = _cold_solve(solver, ratios[0])
+    back, last = (1.0, 0.0), (ratios[0], a)
     out = [solver.profile(a, ratios[0], gamma)]
-    for s_prev, s in zip(ratios, ratios[1:]):
-        a = _continue_to(solver, a, s_prev, s)
+    for s in ratios[1:]:
+        a = _continue_to(solver, back, last, s)
+        back, last = last, (s, a)
         out.append(solver.profile(a, s, gamma))
     return out
 

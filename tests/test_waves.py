@@ -1,9 +1,12 @@
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ohlab.cli import COMMAND_KEYS, read_config
 from ohlab.errors import NoConvergence
 from ohlab.waves import (CORNER_COEFFICIENT, CREST_SPEED_RATIO,
                          _checked_solve, _cold_solve, _expansion_modes,
@@ -162,8 +165,27 @@ class TestNewtonSolve:
     def test_slow_solve_still_converges(self, monkeypatch):
         # from the expansion at (1.093, 512) the residual falls by under
         # 3.5% a step for about 20 steps before Newton's quadratic phase,
-        # but by 2.2% or more over any 4 of them: not a stall
+        # but by 2.2% or more over any 4 of them: not a stall.  What it
+        # converges onto is the spurious wave with its crest above s that
+        # `_checked_solve` rejects (test_crest_above_the_speed_rejected)
         assert self.newton_steps(monkeypatch, 512, 1.093) == (26, True)
+
+    @pytest.mark.parametrize("s, n", [(1.093, 512), (1.093, 256),
+                                      (1.096, 256)])
+    def test_crest_above_the_speed_rejected(self, s, n):
+        # Newton from the expansion used to stop on a Galerkin solution with
+        # its crest above s, where (s - psi) psi'' is singular: amplitude
+        # 1.8129 at (1.093, 512) against 1.57073 at n = 1024, pointwise
+        # residual 747.  The fallback continuation finds the wave
+        solver = _NormalizedSolver(n)
+        a, _ = solver.solve(_expansion_modes(s, n), s)
+        assert solver._fields(a)[0].max() >= s
+        with pytest.raises(NoConvergence, match="crest at or above"):
+            _checked_solve(solver, _expansion_modes(s, n), s)
+        w = solve_periodic_wave(s, 1.0, n=n)
+        ref = solve_periodic_wave(s, 1.0, n=1024)
+        assert w.phi.max() < s
+        assert abs(w.amplitude - ref.amplitude) < 1e-3 * ref.amplitude
 
     def test_branch_starts_like_a_single_solve(self):
         # the branch's first ratio used to skip the fallback and raise
@@ -245,7 +267,7 @@ def dense_jacobian(solver, a, s):
 
 
 @pytest.fixture(scope="module", params=[
-    (n, s, start) for n in (64, 512) for s in (1.02, 1.09)
+    (n, s, start) for n in (64, 512) for s in (1.02, 1.09, 1.0946)
     for start in ("converged", "perturbation")],
     ids=lambda p: f"n{p[0]}-s{p[1]}-{p[2]}")
 def jacobian_case(request):
@@ -309,6 +331,41 @@ class TestContinuationBranch:
         assert data.dtype.names == ("c_over_gamma", "amplitude", "residual")
         assert len(data) == len(branch)
         assert np.all(np.diff(data["amplitude"]) > 0)
+
+
+class TestSecantPredictor:
+    RATIOS = [float(s) for s in read_config(
+        Path(__file__).resolve().parents[1] / "configs" / "wave_branch.cfg",
+        COMMAND_KEYS["wave"])["branch_ratios"].split(",")]
+
+    def test_few_newton_steps_per_ratio(self, monkeypatch):
+        # one Jacobian per Newton step, counted by ratio: from the previous
+        # solution alone the ratios took [3, 8, 6, 5, 5, 5, 6, 6, 6] steps;
+        # the secant in eps takes [3, 3, 3, 3, 3, 3, 3, 3, 4] and bisects
+        # nowhere
+        steps, jacobian = Counter(), _NormalizedSolver.jacobian
+        monkeypatch.setattr(_NormalizedSolver, "jacobian", lambda self, a, s:
+                            steps.update([s]) or jacobian(self, a, s))
+        continuation_branch(1.0, self.RATIOS, n=512)
+        assert set(steps) == set(self.RATIOS)
+        assert max(steps.values()) <= 4
+
+    def test_branch_matches_cold_solves(self):
+        branch = continuation_branch(1.0, self.RATIOS, n=512)
+        for s, w in zip(self.RATIOS, branch):
+            cold = solve_periodic_wave(s, 1.0, n=512)
+            assert np.max(np.abs(w.phi - cold.phi)) < 1e-12
+
+    @pytest.mark.parametrize("ratios", [[1.05, 1.05, 1.05, 1.06],
+                                        [1.09, 1.06, 1.03, 1.01]],
+                             ids=["repeated", "decreasing"])
+    def test_repeated_and_decreasing_ratios(self, ratios):
+        # a repeated ratio is a zero denominator in the secant: it starts
+        # from the previous solution
+        for s, w in zip(ratios, continuation_branch(1.0, ratios, n=256)):
+            cold = solve_periodic_wave(s, 1.0, n=256)
+            assert np.all(np.isfinite(w.phi))
+            assert np.max(np.abs(w.phi - cold.phi)) < 1e-12
 
 
 class TestProfileCsv:
