@@ -10,10 +10,13 @@ convention).
 
 `march` is the one stepping loop and `simulate` the one loop on top of it:
 it counts steps, samples with `fourier.field_diagnostics`, ends on
-`slope_verdict` and assembles the record.  An optional rider is told of
-every step and may ask for a sample and steepen the slope the verdict
-judges; `characteristics.co_evolve` is `simulate` with its ensemble as the
-rider.
+`slope_verdict` and assembles the record.  A sample reads u from the
+tendency's samples: the march computes each yielded state's tendency, the
+next step's first RK4 stage, and its quadratic term has already sampled u
+on the 3/2 grid, so a sample adds only the transform of u_x.  An optional
+rider is told of every step and may ask for a sample and steepen the slope
+the verdict judges; `characteristics.co_evolve` is `simulate` with its
+ensemble as the rider.
 
 `march` steps on the smallest grid that still resolves the field to
 round-off.  The config's n is the finest rung of a ladder of power-of-two
@@ -50,7 +53,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
-                      resize_coefficients)
+                      padded_samples, resize_coefficients)
 from .initial import InitialData
 from .tables import write_csv
 
@@ -124,6 +127,9 @@ class SimulationRecord:
     q_drift: np.ndarray          # relative to the initial value
     e_drift: np.ndarray          # relative to the initial value
     terminated: Termination
+    # why a NumericalFailure run failed: "non_finite" (the march or a
+    # rider), "sup_bound" (slope_verdict's a-priori bound); else None
+    failure: str | None = None
     snapshots: dict = field(default_factory=dict)
     final_field: PeriodicField | None = None
     grids: list = field(default_factory=list)   # (t, n) at each rung reached
@@ -153,17 +159,25 @@ class SpectralWorkspace:
         self.grid = grid
         self.n = n = grid.n
         self.antideriv = grid.antideriv_multiplier
-        # u is squared on an m-point grid; m = 3n/2 is alias-free (3/2 rule)
-        self.pad = m = 3 * n // 2
-        # rfft scales onto the m-point grid and, with 1/2 d/dx, back to n
-        self.up = m / n
-        self.half_deriv_down = 0.5 * grid.deriv_multiplier * (n / m)
+        # rfft of the 3n/2 samples, with 1/2 d/dx, scaled back to n
+        self.half_deriv_down = 0.5 * grid.deriv_multiplier * (n / (3 * n // 2))
+        self.squared = None   # (coeffs, u) of the latest nonlinear_term
 
     def nonlinear_term(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients of u u_x = 1/2 (u^2)_x: u squared on the m-point grid
-        (irfft zero-pads), truncated back to the n modes; alias-free."""
-        u = np.fft.irfft(coeffs * self.up, n=self.pad)
+        """Coefficients of u u_x = 1/2 (u^2)_x: u squared on the 3n/2 grid of
+        `padded_samples` (the 3/2 rule), truncated back to the n modes;
+        alias-free.  The samples are kept for `samples_of`."""
+        u = padded_samples(coeffs, self.n)
+        self.squared = coeffs, u
         return np.fft.rfft(u * u)[: self.n // 2 + 1] * self.half_deriv_down
+
+    def samples_of(self, coeffs: np.ndarray) -> np.ndarray | None:
+        """`padded_samples(coeffs, n)` if the latest `nonlinear_term` call
+        squared this very array; None otherwise, as when that method is
+        replaced."""
+        if self.squared is not None and self.squared[0] is coeffs:
+            return self.squared[1]
+        return None
 
     def rhs(self, coeffs: np.ndarray, gamma: float) -> np.ndarray:
         """The tendency; zero at mode 0 and the Nyquist mode, where both
@@ -206,11 +220,14 @@ def _resolves(coeffs: np.ndarray, m: int) -> bool:
 
 
 def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
-          n_steps: int, *, grids: list, stops=(), stride: int = 1):
+          n_steps: int, *, grids: list, stops=(), stride: int = 1,
+          padded: list | None = None):
     """Yield (i, t, h, coeffs, rung, tendency) after march step i = 0, 1,
     ...: h is the step's length (0 at i = 0), t the time it reached, coeffs
     on the grid `rung`, and rhs(coeffs) there, which is also the next step's
-    first RK4 stage.
+    first RK4 stage.  A caller's one-item list `padded` holds, at each
+    yield, the samples `padded_samples(coeffs, rung.n)` that the tendency's
+    quadratic term took, or None if that term took none.
 
     coeffs are on `grid`, the finest rung of the ladder; the march starts
     on the smallest rung that resolves them and climbs one rung, by exact
@@ -243,8 +260,14 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
         out[0] = 0.0
         return SpectralWorkspace(PeriodicGrid(m, grid.length)), out
 
+    def tendency_of(coeffs):
+        out = ws.rhs(coeffs, gamma)
+        if padded is not None:
+            padded[0] = ws.samples_of(coeffs)
+        return out
+
     ws, coeffs = climb(0.0, coeffs, m)
-    tendency = ws.rhs(coeffs, gamma)
+    tendency = tendency_of(coeffs)
     yield 0, 0.0, 0.0, coeffs, ws.grid, tendency
     # the counts to land on, in order, up to n_steps, the last one reached
     marks = sorted({*stops, n_steps} - {0})
@@ -272,7 +295,7 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
             # one doubling always suffices: the padded top eighth is zero
             m *= 2
             ws, coeffs = climb(count * dt, coeffs, m)
-        tendency = ws.rhs(coeffs, gamma)
+        tendency = tendency_of(coeffs)
         yield i, count * dt, h, coeffs, ws.grid, tendency
 
 
@@ -298,19 +321,21 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     dt.  With stride 1 diagnostics are sampled after every march step;
     with stride k > 1 at every multiple of k*n/m steps of dt on the
     current rung m, which the march lands on like snapshots; and always at
-    the last step.  Samples
-    are taken on the current rung's grid, and each one after t = 0 is
-    judged by `slope_verdict`.  Snapshots and the final field are on the
-    config grid.  The Q and E drifts are relative to the t = 0 sample.  The
-    record counts the march steps and keeps the shortest and longest step
-    taken on each rung.
+    the last step.  Samples are taken on the current rung's grid, with u
+    read from the samples that the march's tendency took, and each one
+    after t = 0 is judged by `slope_verdict`.  Snapshots and the final
+    field are on the config grid.  The Q and E drifts are relative to the
+    t = 0 sample.  The record counts the march steps and keeps the shortest
+    and longest step taken on each rung.
 
     A rider, if given, rides the march: `rider.advance_to(i, t, h, coeffs,
     rung, tendency)` is called with every step `march` yields, before its
     snapshots, and a true return asks for a sample at that step; at every
     sample, `rider.sample(t)` returns a slope minimum, and the verdict
     judges the steeper of it and the grid's.  NumericalFailure raised by
-    the rider ends the run like the march's own.
+    the rider ends the run like the march's own.  A NumericalFailure run
+    records its reason: "non_finite" for non-finite values of the march or
+    the rider, "sup_bound" for a sup|u| past `slope_verdict`'s bound.
     """
     grid = PeriodicGrid(config.n)
     n_steps = int(round(config.t_max / config.dt))
@@ -320,9 +345,10 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     t_end = n_steps * config.dt
     times, samples, snapshots, grids = [], [], {}, []
     stepped = {}   # rung size -> (shortest, longest) step taken on it
+    padded = [None]   # the march's samples of each yielded coeffs
     steps = march(grid, config.initial.sample(grid).coefficients, config.dt,
                   config.gamma, n_steps, grids=grids, stops=marks.values(),
-                  stride=config.stride)
+                  stride=config.stride, padded=padded)
 
     def on_grid(coeffs):
         return PeriodicField(grid, coefficients=resize_coefficients(
@@ -332,7 +358,7 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
         every = _sample_every(config.stride, config.n, rung.n)
         return config.stride == 1 or round(t / config.dt) % every == 0
 
-    terminated = Termination.Horizon
+    terminated, failure = Termination.Horizon, None
     try:
         for step in steps:
             i, t, h, coeffs, rung, _ = step
@@ -344,7 +370,7 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
             while snap_left and t >= snap_left[0][0]:
                 snapshots[snap_left.pop(0)[1]] = on_grid(coeffs)
             if on_mark(t, rung) or t == t_end or asked:
-                d = field_diagnostics(coeffs, rung, config.gamma)
+                d = field_diagnostics(coeffs, rung, config.gamma, padded[0])
                 times.append(t)
                 samples.append(d)
                 slope = d.min_slope if rider is None \
@@ -352,16 +378,18 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
                 verdict = slope_verdict(config, t, slope, d.sup_abs)
                 if i > 0 and verdict is not None:
                     terminated = verdict
+                    if verdict is Termination.NumericalFailure:
+                        failure = "sup_bound"
                     break
     except NumericalFailure:
-        terminated = Termination.NumericalFailure
+        terminated, failure = Termination.NumericalFailure, "non_finite"
     dmin, dmax, sup, mass, q, e = np.array(samples, dtype=float).T
     return SimulationRecord(
         config=config, times=np.asarray(times, dtype=float), min_ux=dmin,
         max_ux=dmax, sup_abs_u=sup, mass_drift=mass,
         q_drift=(q - q[0]) / max(abs(q[0]), 1e-16),
         e_drift=(e - e[0]) / max(abs(e[0]), 1e-16),
-        terminated=terminated, snapshots=snapshots,
+        terminated=terminated, failure=failure, snapshots=snapshots,
         final_field=on_grid(coeffs), grids=grids, steps=i,
         step_lengths=[(n, *stepped[n]) for n in sorted(stepped)])
 
@@ -430,6 +458,7 @@ def run_summary(record: SimulationRecord,
     out = {
         "config": record.config.summary(),
         "terminated": record.terminated.value,
+        "failure": record.failure,
         "grids": record.grids,
         "steps": record.steps,
         "step_lengths": record.step_lengths,

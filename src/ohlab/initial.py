@@ -49,8 +49,8 @@ def _scalars_by_quadrature(fn, n=_QUAD_N) -> dict:
     grid = PeriodicGrid(n)
     c = _zero_mean(fn, grid)
     d = field_diagnostics(c, grid, 0.0)
-    # u0' on the 4n grid of field_diagnostics: (u0')^3 has bandwidth 3n/2 <
-    # 4n, so its mean is alias-free
+    # u0' on the 4n grid that field_diagnostics samples u_x on: (u0')^3
+    # reaches mode 3n/2, below that grid's 2n, so its mean is alias-free
     r = 4 * n
     du = np.fft.irfft(c * grid.deriv_multiplier * (r / n), n=r)
     return dict(

@@ -329,6 +329,19 @@ class TestBreakingEnsemble:
         assert np.all(record.sup_abs_u
                       <= d.sup_abs + record.times * d.l2 + 1e-6)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_v_overflow_is_a_non_finite_failure(self):
+        # past a stop_slope that V cannot reach finitely, V overflows near
+        # t = 3.2 while the grid slope is still ~ -11 and the field finite
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), n=256,
+                               dt=1e-3, t_max=5.0, stop_slope=-1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            record, _ = co_evolve(cfg, n_xi=32)
+        assert record.terminated is Termination.NumericalFailure
+        assert record.failure == "non_finite"
+        assert 3.0 < record.times[-1] < 3.3 and record.min_ux[-1] > -30.0
+        assert np.all(np.isfinite(record.final_field.coefficients))
+
 
 class TestUnsupportedConfig:
     # co_evolve samples by sample_stride; a stride used to be dropped

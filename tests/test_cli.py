@@ -250,6 +250,9 @@ class TestExitCodes:
                  "--t-max", "20", "--output-dir", str(tmp_path)], capsys)
         assert code == 2
         assert json.loads(out)["terminated"] == "NumericalFailure"
+        # dt = 1 is far past RK4's limit: sup|u| leaves its a-priori bound
+        # at t = 1 while every value is still finite
+        assert json.loads(out)["failure"] == "sup_bound"
         assert (tmp_path / "summary.json").read_text() == out
 
     def test_config_key_of_another_command(self, tmp_path, capsys):
@@ -386,6 +389,7 @@ class TestSimulateCommand:
         assert code == 0
         summary = json.loads(out)
         assert summary["terminated"] == "SlopeBlowup"
+        assert summary["failure"] is None
         assert summary["blowup"]["C"] == pytest.approx(-1.0, abs=0.2)
         assert summary["grids"][0] == [0.0, 256]
         assert summary["grids"][-1][1] == 512
@@ -421,6 +425,7 @@ class TestCharacteristicsCommand:
         # grid, which land on every sample mark of sample_stride = 10
         assert summary["steps"] == 25
         assert summary["step_lengths"] == [[256, 0.02, 0.02]]
+        assert summary["failure"] is None
         assert (tmp_path / "ensemble.csv").exists()
         assert (tmp_path / "summary.json").read_text() == out
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from ohlab.evolution import (_NU, _TURN, SimulationConfig, SimulationRecord,
                              SpectralWorkspace, Termination, estimate_blowup,
                              march, run_summary, simulate, write_timeseries)
 from ohlab.fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
-                           resize_coefficients)
+                           padded_samples, resize_coefficients)
 from ohlab.initial import sampled_data, two_mode_quantities
 from ohlab.scan import ScanConfig, scan
 
@@ -119,8 +121,9 @@ class TestLinearDispersion:
         cfg = SimulationConfig(two_mode_quantities(1.0, 0.0), n=64, dt=0.01,
                                t_max=5.0, stride=50)
         rec = simulate(cfg)
-        # refined-extremum recording is O(h^4) accurate; ~1e-8 at n=64
-        assert np.max(np.abs(rec.sup_abs_u - 1.0)) < 1e-7
+        # sup|u| is the quartic polish of 96 samples, 3.7e-10 from the
+        # amplitude at n = 64 (the parabola on 256 samples gave 8.1e-9)
+        assert np.max(np.abs(rec.sup_abs_u - 1.0)) < 1e-9
 
 
 class TestStep:
@@ -188,6 +191,47 @@ class TestMarchTendency:
             assert np.array_equal(tendency,
                                   SpectralWorkspace(rung).rhs(c, 1.0)), i
         assert len(grids) >= 2
+
+    def test_handed_in_samples_give_the_same_diagnostics(self):
+        # a sample reads u from the tendency's samples, bitwise the ones
+        # field_diagnostics would take itself, on every rung
+        grid, padded = PeriodicGrid(1024), [None]
+        c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
+        rungs = set()
+        for i, _, _, c, rung, _ in march(grid, c0, 5e-4, 1.0, 500, grids=[],
+                                         padded=padded):
+            assert np.array_equal(padded[0], padded_samples(c, rung.n)), i
+            assert (field_diagnostics(c, rung, 1.0, padded[0])
+                    == field_diagnostics(c, rung, 1.0)), i
+            rungs.add(rung.n)
+        assert len(rungs) >= 2
+
+    def test_replaced_quadratic_term_hands_in_no_samples(self, monkeypatch):
+        monkeypatch.setattr(SpectralWorkspace, "nonlinear_term",
+                            lambda ws, c: np.zeros_like(c))
+        grid, padded = PeriodicGrid(64), [None]
+        c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
+        for _ in march(grid, c0, 1e-3, 1.0, 3, grids=[], padded=padded):
+            assert padded[0] is None
+
+    def test_one_transform_per_sample(self, monkeypatch):
+        # each step's four RK4 stages take one irfft each, the first of them
+        # the tendency yielded before it, plus the tendency at t = 0; a
+        # sample adds only the 4n irfft of u_x
+        calls = []
+        irfft = np.fft.irfft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return irfft(*args, **kwargs)
+
+        cfg = SimulationConfig(two_mode_quantities(0.3, 0.0), n=512,
+                               dt=1e-3, t_max=0.5)
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        rec = simulate(cfg)
+        monkeypatch.undo()
+        assert len(rec.grids) == 2 and len(rec.times) == rec.steps + 1
+        assert len(calls) == 1 + 4 * rec.steps + len(rec.times)
 
     def test_given_k1_is_the_same_step(self):
         grid = PeriodicGrid(256)
@@ -455,9 +499,25 @@ def test_overflow_ends_in_numerical_failure():
     d = sampled_data(lambda x: 1e200 * np.sin(TWO_PI * x), n=64)
     cfg = SimulationConfig(d, n=64, dt=1.0, t_max=2.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert simulate(cfg).terminated is Termination.NumericalFailure
+        record = simulate(cfg)
+        assert record.terminated is Termination.NumericalFailure
+        assert record.failure == "non_finite"
+        assert run_summary(record, None)["failure"] == "non_finite"
         record, _ = co_evolve(cfg, n_xi=16)
         assert record.terminated is Termination.NumericalFailure
+        assert record.failure == "non_finite"
+
+
+def test_sup_past_the_bound_is_a_sup_bound_failure():
+    # the datum claims sup|u0| = ||u0|| = 0, so the a-priori bound is 1e-6
+    # and the run that breaks at t ~ 0.33 is judged a failure of the bound
+    d = dataclasses.replace(two_mode_quantities(0.5, 0.0), sup_abs=0.0,
+                            l2=0.0)
+    record = simulate(SimulationConfig(d, n=256, dt=1e-3, t_max=1.0,
+                                       stop_slope=-30.0))
+    assert record.terminated is Termination.NumericalFailure
+    assert record.failure == "sup_bound"
+    assert run_summary(record, None)["failure"] == "sup_bound"
 
 
 class TestBreakingRun:
