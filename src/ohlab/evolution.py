@@ -18,6 +18,16 @@ rider is told of every step and may ask for a sample and steepen the slope
 the verdict judges; `characteristics.co_evolve` is `simulate` with its
 ensemble as the rider.
 
+A run that breaks ends in `SlopeBlowup` at the first sample where either
+its slope minimum reaches stop_slope or the finest grid has lost the
+front: the run is on the config grid, the top eighth of that grid's modes
+exceeds _LOST = 1e-3 of the peak mode, and the slope has passed the fit's
+start threshold (see `estimate_blowup`).  The front is then thinner than a
+grid cell, and the steps past it add nothing to the fit, whose window
+closes at a slope of _FIT_DEPTH = -6 or, on a grid that loses the front
+before that, at the stop.  The record names which of the two stops ended
+the run.
+
 `march` steps on the smallest grid that still resolves the field to
 round-off.  The config's n is the finest rung of a ladder of power-of-two
 grids.  A run starts on the smallest rung m >= min(256, n) whose top eighth
@@ -88,6 +98,12 @@ def check_stepping(gamma: float, n: int, dt: float, t_max: float,
 
 @dataclass
 class SimulationConfig:
+    """The settings of one run.  n is the config grid, the finest rung of
+    the grid ladder; dt the time lattice.  The floor step dt*n/m on rung m
+    grows with n at fixed dt, so each doubling of n halves the samples in
+    the fit window of `estimate_blowup` (229, 114 and 56 for case 1 at n =
+    4096, 8192 and 16384, dt = 1e-3): a study in n scales dt with 1/n."""
+
     initial: InitialData
     gamma: float = 1.0
     n: int = 4096
@@ -130,6 +146,9 @@ class SimulationRecord:
     # why a NumericalFailure run failed: "non_finite" (the march or a
     # rider), "sup_bound" (slope_verdict's a-priori bound); else None
     failure: str | None = None
+    # why a SlopeBlowup run stopped: "stop_slope" or "front_unresolved"
+    # (see slope_verdict); else None
+    stop: str | None = None
     snapshots: dict = field(default_factory=dict)
     final_field: PeriodicField | None = None
     grids: list = field(default_factory=list)   # (t, n) at each rung reached
@@ -197,6 +216,8 @@ class SpectralWorkspace:
 
 _TAIL = 1e-13   # largest top-of-band mode, relative to the peak mode, that
                 # a rung still counts as resolved to round-off
+_LOST = 1e-3    # the top-of-band level past which the finest grid has lost
+                # the front and a breaking run stops
 _BASE = 256     # the smallest rung of the grid ladder
 _NU = 1.0       # the largest CFL number h*pi*m*S a step is lengthened to;
                 # RK4's limit on the imaginary axis is 2*sqrt(2)
@@ -211,12 +232,12 @@ def _sample_every(stride: int, n: int, m: int) -> int:
     return stride * (n // m)
 
 
-def _resolves(coeffs: np.ndarray, m: int) -> bool:
-    """Whether the modes from 7m/16 up lie within _TAIL of the peak mode:
+def _resolves(coeffs: np.ndarray, m: int, level: float = _TAIL) -> bool:
+    """Whether the modes from 7m/16 up lie within `level` of the peak mode:
     the top eighth of an m-point grid's modes, and on a finer grid also all
-    the modes that the m-point grid drops."""
+    the modes that the m-point grid drops.  A zero field is resolved."""
     mags = np.abs(coeffs)
-    return mags[7 * m // 16:].max() <= _TAIL * mags.max()
+    return mags[7 * m // 16:].max() <= level * mags.max()
 
 
 def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
@@ -299,21 +320,51 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
         yield i, count * dt, h, coeffs, ws.grid, tendency
 
 
+_FIT_START = 5.0   # the fit window opens at this multiple of min u0'
+_FIT_DEPTH = -6.0  # and closes past this slope, or twice the opening one
+
+
+def _fit_start(first_slope: float) -> float:
+    """The slope past which the fit window opens, from the first sample's."""
+    return _FIT_START * min(first_slope, 0.0)
+
+
 def slope_verdict(config: SimulationConfig, t: float, min_slope: float,
-                  sup_abs: float) -> Termination | None:
-    """How a run ends once its slope minimum reaches stop_slope: breaking if
-    sup|u| still sits within its a-priori growth bound
-    sup|u0| + gamma*t*||u0||, numerical failure if not; None before then."""
-    if min_slope > config.stop_slope:
+                  sup_abs: float, first_slope: float,
+                  coeffs: np.ndarray) -> tuple[Termination, str] | None:
+    """How a run ends at a sample of `coeffs` with slope minimum min_slope,
+    as (termination, reason); None while it goes on.
+
+    A run stops once min_slope reaches stop_slope ("stop_slope"), or once
+    the finest grid has lost the front ("front_unresolved"): coeffs are on
+    the config grid, the top eighth of their modes exceeds _LOST of the
+    peak mode, and min_slope has passed `_fit_start(first_slope)`, the
+    fit's start threshold from the first sample's slope, so that a datum
+    the grid does not resolve at t = 0 is not stopped at its first step.
+    A stop is breaking, `SlopeBlowup` with its reason, if sup|u| still
+    sits within its a-priori growth bound sup|u0| + gamma*t*||u0||, and a
+    numerical failure ("sup_bound") if not."""
+    if min_slope <= config.stop_slope:
+        reason = "stop_slope"
+    elif (min_slope <= _fit_start(first_slope)
+          and coeffs.size == config.n // 2 + 1
+          and not _resolves(coeffs, config.n, _LOST)):
+        reason = "front_unresolved"
+    else:
         return None
     bound = config.initial.sup_abs + config.gamma * t * config.initial.l2 \
         + 1e-6
-    return (Termination.SlopeBlowup if sup_abs <= bound
-            else Termination.NumericalFailure)
+    if sup_abs <= bound:
+        return Termination.SlopeBlowup, reason
+    return Termination.NumericalFailure, "sup_bound"
 
 
 def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     """Integrate until the horizon, slope blow-up, or numerical failure.
+
+    A run breaks, `SlopeBlowup`, at the first sample after t = 0 where its
+    slope minimum reaches stop_slope or the config grid has lost the front
+    (see `slope_verdict`); the record's `stop` names which.
 
     The march sizes each step by the flow and the linear waves, never
     shorter than dt*n/m on rung m, and lands on t_max and on every
@@ -323,7 +374,8 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     current rung m, which the march lands on like snapshots; and always at
     the last step.  Samples are taken on the current rung's grid, with u
     read from the samples that the march's tendency took, and each one
-    after t = 0 is judged by `slope_verdict`.  Snapshots and the final
+    after t = 0 is judged by `slope_verdict`, against the slope of the
+    t = 0 sample and the sampled coefficients.  Snapshots and the final
     field are on the config grid.  The Q and E drifts are relative to the
     t = 0 sample.  The record counts the march steps and keeps the shortest
     and longest step taken on each rung.
@@ -358,7 +410,7 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
         every = _sample_every(config.stride, config.n, rung.n)
         return config.stride == 1 or round(t / config.dt) % every == 0
 
-    terminated, failure = Termination.Horizon, None
+    terminated, failure, stop = Termination.Horizon, None, None
     try:
         for step in steps:
             i, t, h, coeffs, rung, _ = step
@@ -375,11 +427,14 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
                 samples.append(d)
                 slope = d.min_slope if rider is None \
                     else min(rider.sample(t), d.min_slope)
-                verdict = slope_verdict(config, t, slope, d.sup_abs)
+                verdict = slope_verdict(config, t, slope, d.sup_abs,
+                                        samples[0].min_slope, coeffs)
                 if i > 0 and verdict is not None:
-                    terminated = verdict
-                    if verdict is Termination.NumericalFailure:
-                        failure = "sup_bound"
+                    terminated, reason = verdict
+                    if terminated is Termination.NumericalFailure:
+                        failure = reason
+                    else:
+                        stop = reason
                     break
     except NumericalFailure:
         terminated, failure = Termination.NumericalFailure, "non_finite"
@@ -389,13 +444,9 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
         max_ux=dmax, sup_abs_u=sup, mass_drift=mass,
         q_drift=(q - q[0]) / max(abs(q[0]), 1e-16),
         e_drift=(e - e[0]) / max(abs(e[0]), 1e-16),
-        terminated=terminated, failure=failure, snapshots=snapshots,
-        final_field=on_grid(coeffs), grids=grids, steps=i,
-        step_lengths=[(n, *stepped[n]) for n in sorted(stepped)])
-
-
-_FIT_START = 5.0   # the fit window opens at this multiple of min u0'
-_FIT_DEPTH = -6.0  # and closes past this slope, or twice the opening one
+        terminated=terminated, failure=failure, stop=stop,
+        snapshots=snapshots, final_field=on_grid(coeffs), grids=grids,
+        steps=i, step_lengths=[(n, *stepped[n]) for n in sorted(stepped)])
 
 
 def estimate_blowup(record: SimulationRecord) -> BlowupEstimate | None:
@@ -418,7 +469,7 @@ def estimate_blowup(record: SimulationRecord) -> BlowupEstimate | None:
     """
     if record.terminated is not Termination.SlopeBlowup:
         return None
-    threshold = _FIT_START * min(float(record.min_ux[0]), 0.0)
+    threshold = _fit_start(float(record.min_ux[0]))
     depth = min(_FIT_DEPTH, 2.0 * threshold)
     mask = record.min_ux <= threshold
     first = int(np.argmax(mask))
@@ -459,6 +510,7 @@ def run_summary(record: SimulationRecord,
         "config": record.config.summary(),
         "terminated": record.terminated.value,
         "failure": record.failure,
+        "stop": record.stop,
         "grids": record.grids,
         "steps": record.steps,
         "step_lengths": record.step_lengths,

@@ -54,9 +54,9 @@ def case2_est(case2_run):
 
 @pytest.fixture(scope="session")
 def case3_run():
-    # thinnest breaking front of the three; needs the finer grid, and the
-    # post-breaking slope plateau only creeps past -200 long after the fit
-    # window closes, so the stop level is raised to -100
+    # thinnest breaking front of the three; needs the finer grid.  The run
+    # stops when the grid loses the front near min u_x = -20, ahead of the
+    # stop level of -100 that configs/breaking_a0_b005.cfg sets
     cfg = SimulationConfig(initial=two_mode_quantities(0.0, 0.005),
                            n=8192, dt=5e-4, t_max=25.0, stop_slope=-100.0)
     return simulate(cfg)

@@ -390,6 +390,8 @@ class TestSimulateCommand:
         summary = json.loads(out)
         assert summary["terminated"] == "SlopeBlowup"
         assert summary["failure"] is None
+        # the 512 grid loses the front before min u_x reaches -200
+        assert summary["stop"] == "front_unresolved"
         assert summary["blowup"]["C"] == pytest.approx(-1.0, abs=0.2)
         assert summary["grids"][0] == [0.0, 256]
         assert summary["grids"][-1][1] == 512
@@ -425,7 +427,7 @@ class TestCharacteristicsCommand:
         # grid, which land on every sample mark of sample_stride = 10
         assert summary["steps"] == 25
         assert summary["step_lengths"] == [[256, 0.02, 0.02]]
-        assert summary["failure"] is None
+        assert summary["failure"] is None and summary["stop"] is None
         assert (tmp_path / "ensemble.csv").exists()
         assert (tmp_path / "summary.json").read_text() == out
 
@@ -437,6 +439,7 @@ class TestCharacteristicsCommand:
         assert code == 0
         summary = json.loads(out)
         assert summary["terminated"] == "SlopeBlowup"
+        assert summary["stop"] == "front_unresolved"
         assert (tmp_path / "chars" / "summary.json").read_text() == out
         # the summary is simulate's, plus the ensemble's own keys
         code, out, _ = run_cli(

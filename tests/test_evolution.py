@@ -522,10 +522,14 @@ def test_sup_past_the_bound_is_a_sup_bound_failure():
 
 class TestBreakingRun:
     def test_smoke_terminates_on_slope(self, case1_smoke_run):
+        # the 1024 grid loses the front (min u_x ~ -22) long before
+        # stop_slope = -200, and after the fit window has closed
         rec = case1_smoke_run
         assert rec.terminated is Termination.SlopeBlowup
+        assert rec.stop == "front_unresolved"
         assert rec.times[-1] < rec.config.t_max
-        assert rec.min_ux[-1] <= rec.config.stop_slope
+        assert rec.min_ux[-1] > rec.config.stop_slope
+        assert estimate_blowup(rec).window[1] < rec.times[-1]
 
     def test_smoke_regression_band(self, case1_smoke_run):
         est = estimate_blowup(case1_smoke_run)
@@ -545,6 +549,37 @@ class TestBreakingRun:
         assert np.max(np.abs(rec.mass_drift[pre])) < 1e-10
         assert np.max(np.abs(rec.q_drift[pre])) < 1e-8
         assert np.max(np.abs(rec.e_drift[pre])) < 1e-6
+
+
+class TestResolutionStop:
+    @pytest.mark.parametrize("case", ["case1_run", "case2_run", "case3_run"])
+    def test_reference_runs_stop_past_their_fit_window(self, case, request):
+        # the finest grid loses the front after the fit window has closed
+        # and past min u_x = -10, where the drift and bound checks end
+        rec = request.getfixturevalue(case)
+        assert rec.terminated is Termination.SlopeBlowup
+        assert rec.stop == "front_unresolved"
+        assert estimate_blowup(rec).window[1] < rec.times[-1]
+        assert rec.config.stop_slope < rec.min_ux[-1] < -10.0
+
+    def test_unresolved_datum_not_stopped_at_its_first_step(self):
+        # mode 30 of a 64-point grid, in its top eighth, at 1e-2 of the
+        # peak: the grid does not resolve the datum at t = 0, but its slope
+        # has not passed the fit's start threshold
+        d = sampled_data(lambda x: np.sin(TWO_PI * x)
+                         + 1e-2 * np.sin(30 * TWO_PI * x), n=64)
+        rec = simulate(SimulationConfig(d, n=64, dt=1e-3, t_max=0.05))
+        assert rec.terminated is Termination.Horizon
+        assert rec.stop is None and rec.steps > 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_field_runs_to_horizon(self):
+        # a zero field has passed its zero start threshold, and a zero
+        # spectrum is resolved
+        rec = simulate(SimulationConfig(two_mode_quantities(0.0, 0.0), n=64,
+                                        dt=0.01, t_max=0.5))
+        assert rec.terminated is Termination.Horizon
+        assert rec.stop is None and rec.times[-1] == pytest.approx(0.5)
 
 
 class TestNoBreakingControl:
@@ -678,6 +713,7 @@ class TestEmission:
         est = estimate_blowup(case1_smoke_run)
         s = run_summary(case1_smoke_run, est)
         assert s["terminated"] == "SlopeBlowup"
+        assert s["stop"] == "front_unresolved" and s["failure"] is None
         assert s["blowup"]["T"] == pytest.approx(-est.b / est.c)
         assert s["config"]["initial"] == {"a": 0.05, "b": 0.0,
                                           "kind": "two_mode"}
