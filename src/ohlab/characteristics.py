@@ -70,7 +70,7 @@ class CoSteppingProvider:
 
     def advance_to(self, i: int, t: float, h: float, coeffs: np.ndarray,
                    rung: PeriodicGrid, tendency: np.ndarray):
-        """Take march step i, which `march` yields as these arguments."""
+        """Take march step i, given as the first six fields `march` yields."""
         self.t, self.h = t, h
         self.u = PeriodicField(rung, coefficients=coeffs)
         a = rung.antideriv_multiplier

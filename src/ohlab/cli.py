@@ -78,8 +78,9 @@ def _floats(text: str) -> tuple:
 
 
 def read_config(path: str, keys: dict) -> dict:
-    """Parse a config file against one command's key -> default table."""
-    out = {}
+    """Parse a config file against one command's key -> default table; a
+    key given on two lines is a usage error."""
+    out, seen = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -91,6 +92,10 @@ def read_config(path: str, keys: dict) -> dict:
             key, value = key.strip(), value.strip()
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: key {key!r} already "
+                                 f"set on line {seen[key]}")
+            seen[key] = lineno
             try:
                 out[key] = _caster(keys[key])(value)
             except ValueError as exc:
@@ -138,6 +143,13 @@ def _fit_blowup(record, out: Path):
     return est
 
 
+def _time_label(t: float) -> str:
+    """t as `:g` renders it if that parses back to t, else its shortest
+    round-trip repr without a trailing .0: a label that names t exactly."""
+    label = f"{t:g}"
+    return label if float(label) == t else repr(t).removesuffix(".0")
+
+
 def _cmd_simulate(cfg) -> dict:
     config = _sim_config(cfg, stride=cfg["stride"],
                          snapshot_times=_floats(cfg["snapshots"]))
@@ -146,7 +158,7 @@ def _cmd_simulate(cfg) -> dict:
     est = _fit_blowup(record, out)
     evolution.write_timeseries(record, out / "timeseries.csv")
     for t, f in record.snapshots.items():
-        evolution.write_snapshot(f, out / f"snapshot_t{t:g}.csv")
+        evolution.write_snapshot(f, out / f"snapshot_t{_time_label(t)}.csv")
     _write_plot(out, "timeseries", "timeseries.csv", _TIMESERIES_PLOT)
     return evolution.run_summary(record, est)
 

@@ -10,13 +10,13 @@ convention).
 
 `march` is the one stepping loop and `simulate` the one loop on top of it:
 it counts steps, samples with `fourier.field_diagnostics`, ends on
-`slope_verdict` and assembles the record.  A sample reads u from the
-tendency's samples: the march computes each yielded state's tendency, the
-next step's first RK4 stage, and its quadratic term has already sampled u
-on the 3/2 grid, so a sample adds only the transform of u_x.  An optional
-rider is told of every step and may ask for a sample and steepen the slope
-the verdict judges; `characteristics.co_evolve` is `simulate` with its
-ensemble as the rider.
+`slope_verdict` and assembles the record.  The march yields one record
+per step and fills no list: it samples each state's u on the 3/2 grid
+once, squares those samples for the tendency, the next step's first RK4
+stage, and yields them, so a sample adds only the transform of u_x.  An
+optional rider is told of every step and may ask for a sample and steepen
+the slope the verdict judges; `characteristics.co_evolve` is `simulate`
+with its ensemble as the rider.
 
 A run that breaks ends in `SlopeBlowup` at the first sample where either
 its slope minimum reaches stop_slope or the finest grid has lost the
@@ -48,10 +48,11 @@ gamma*h/(2 pi) of mode 1 by the linear term, its fastest mode, at or
 below _TURN: the transport and the linear waves each hold the step to
 what RK4 resolves.  The march lands on t_max, on snapshot times and, for
 stride > 1, on sample marks, so a stride samples the same lattice
-whatever the step lengths.  Samples are taken on the current rung;
-snapshots and the final field are emitted on the config grid, and the
-record lists every rung with the time the run reached it, the number of
-steps and the shortest and longest step on each rung.
+whatever the step lengths, and flags each step that is a sample mark.
+Samples are taken on the current rung; snapshots and the final field are
+emitted on the config grid, and the record lists every rung with the time
+the run reached it, the number of steps and the shortest and longest step
+on each rung.
 """
 from __future__ import annotations
 
@@ -180,37 +181,30 @@ class SpectralWorkspace:
         self.antideriv = grid.antideriv_multiplier
         # rfft of the 3n/2 samples, with 1/2 d/dx, scaled back to n
         self.half_deriv_down = 0.5 * grid.deriv_multiplier * (n / (3 * n // 2))
-        self.squared = None   # (coeffs, u) of the latest nonlinear_term
 
-    def nonlinear_term(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients of u u_x = 1/2 (u^2)_x: u squared on the 3n/2 grid of
+    def nonlinear_term(self, u: np.ndarray) -> np.ndarray:
+        """Coefficients of u u_x = 1/2 (u^2)_x from u on the 3n/2 grid of
         `padded_samples` (the 3/2 rule), truncated back to the n modes;
-        alias-free.  The samples are kept for `samples_of`."""
-        u = padded_samples(coeffs, self.n)
-        self.squared = coeffs, u
+        alias-free."""
         return np.fft.rfft(u * u)[: self.n // 2 + 1] * self.half_deriv_down
 
-    def samples_of(self, coeffs: np.ndarray) -> np.ndarray | None:
-        """`padded_samples(coeffs, n)` if the latest `nonlinear_term` call
-        squared this very array; None otherwise, as when that method is
-        replaced."""
-        if self.squared is not None and self.squared[0] is coeffs:
-            return self.squared[1]
-        return None
-
-    def rhs(self, coeffs: np.ndarray, gamma: float) -> np.ndarray:
-        """The tendency; zero at mode 0 and the Nyquist mode, where both
-        multipliers vanish, so a step keeps those modes at zero."""
-        return gamma * coeffs * self.antideriv - self.nonlinear_term(coeffs)
+    def rhs(self, coeffs: np.ndarray, gamma: float,
+            u: np.ndarray) -> np.ndarray:
+        """The tendency at coeffs, whose samples `padded_samples(coeffs, n)`
+        are u; zero at mode 0 and the Nyquist mode, where both multipliers
+        vanish, so a step keeps those modes at zero."""
+        return gamma * coeffs * self.antideriv - self.nonlinear_term(u)
 
     def rk4_step(self, coeffs: np.ndarray, dt: float, gamma: float,
                  k1: np.ndarray | None = None) -> np.ndarray:
-        """One RK4 step; k1, if given, is rhs(coeffs), already computed."""
+        """One RK4 step; k1, if given, is the tendency at coeffs."""
+        def rhs(c):
+            return self.rhs(c, gamma, padded_samples(c, self.n))
         if k1 is None:
-            k1 = self.rhs(coeffs, gamma)
-        k2 = self.rhs(coeffs + 0.5 * dt * k1, gamma)
-        k3 = self.rhs(coeffs + 0.5 * dt * k2, gamma)
-        k4 = self.rhs(coeffs + dt * k3, gamma)
+            k1 = rhs(coeffs)
+        k2 = rhs(coeffs + 0.5 * dt * k1)
+        k3 = rhs(coeffs + 0.5 * dt * k2)
+        k4 = rhs(coeffs + dt * k3)
         return coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -226,12 +220,6 @@ _TURN = 1 / 128  # the largest angle z = gamma*h/(2 pi) a lengthened step
                  # z^4/120 ~ 3e-11 per radian turned
 
 
-def _sample_every(stride: int, n: int, m: int) -> int:
-    """The counts of dt between two sample marks of a stride on rung m of
-    an n-point config grid."""
-    return stride * (n // m)
-
-
 def _resolves(coeffs: np.ndarray, m: int, level: float = _TAIL) -> bool:
     """Whether the modes from 7m/16 up lie within `level` of the peak mode:
     the top eighth of an m-point grid's modes, and on a finer grid also all
@@ -241,20 +229,18 @@ def _resolves(coeffs: np.ndarray, m: int, level: float = _TAIL) -> bool:
 
 
 def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
-          n_steps: int, *, grids: list, stops=(), stride: int = 1,
-          padded: list | None = None):
-    """Yield (i, t, h, coeffs, rung, tendency) after march step i = 0, 1,
-    ...: h is the step's length (0 at i = 0), t the time it reached, coeffs
-    on the grid `rung`, and rhs(coeffs) there, which is also the next step's
-    first RK4 stage.  A caller's one-item list `padded` holds, at each
-    yield, the samples `padded_samples(coeffs, rung.n)` that the tendency's
-    quadratic term took, or None if that term took none.
+          n_steps: int, *, stops=(), stride: int = 1):
+    """Yield (i, t, h, coeffs, rung, tendency, u, sample) after march step
+    i = 0, 1, ...: h is the step's length (0 at i = 0), t the time it
+    reached, coeffs on the grid `rung`, tendency the right-hand side there,
+    which is also the next step's first RK4 stage, u the samples
+    `padded_samples(coeffs, rung.n)` that the tendency's quadratic term
+    squared, and sample whether the step is a sample mark.
 
     coeffs are on `grid`, the finest rung of the ladder; the march starts
     on the smallest rung that resolves them and climbs one rung, by exact
     zero-padding, after any step that leaves the top eighth of the modes
-    unresolved.  Mode 0 and the Nyquist mode are pinned to zero.  Each rung
-    reached is appended to the caller's list `grids` as (t, n).
+    unresolved.  Mode 0 and the Nyquist mode are pinned to zero.
 
     Time is counted in steps of dt on `grid`, and t = I*dt for the integer
     count I.  A step on rung m spans max(grid.n/m, floor(min(_NU /
@@ -265,8 +251,11 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
     most _TURN; it is never shorter than dt*grid.n/m, and a zero field (S
     = 0, which stays zero) keeps that length.  The march ends at I =
     n_steps; a step that would pass n_steps, a count in `stops` or, for
-    stride > 1, a sample mark of `simulate` (see `_sample_every`) is
-    shortened to land on it.
+    stride > 1, a sample mark is shortened to land on it.
+
+    The sample marks are every step at stride 1; at stride > 1 the counts
+    that are multiples of stride*grid.n/m on the rung m a step reached;
+    and always the last step and step 0.
 
     Yielded arrays are never modified afterwards.  Raises NumericalFailure
     at the first step whose coefficients are not all finite.
@@ -275,31 +264,26 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
     while m < grid.n and not _resolves(coeffs, m):
         m *= 2
 
-    def climb(t, coeffs, m):
-        grids.append((t, m))
+    def climb(coeffs, m):
         out = resize_coefficients(coeffs, m)
         out[0] = 0.0
         return SpectralWorkspace(PeriodicGrid(m, grid.length)), out
 
-    def tendency_of(coeffs):
-        out = ws.rhs(coeffs, gamma)
-        if padded is not None:
-            padded[0] = ws.samples_of(coeffs)
-        return out
-
-    ws, coeffs = climb(0.0, coeffs, m)
-    tendency = tendency_of(coeffs)
-    yield 0, 0.0, 0.0, coeffs, ws.grid, tendency
+    ws, coeffs = climb(coeffs, m)
     # the counts to land on, in order, up to n_steps, the last one reached
     marks = sorted({*stops, n_steps} - {0})
     turn = 2.0 * np.pi * _TURN / (gamma * dt)   # counts of dt
-    count = 0
-    for i in itertools.count(1):
+    count, h = 0, 0.0
+    for i in itertools.count():
+        every = stride * (grid.n // m)   # counts between two sample marks
+        u = padded_samples(coeffs, m)
+        tendency = ws.rhs(coeffs, gamma, u)
+        yield (i, count * dt, h, coeffs, ws.grid, tendency, u,
+               stride == 1 or count % every == 0 or count == n_steps)
         if count == n_steps:
             return
         land = marks[0]
         if stride > 1:
-            every = _sample_every(stride, grid.n, m)
             land = min(land, (count // every + 1) * every)
         wiener = 2.0 * np.abs(coeffs).sum() / m
         reach = (min(_NU / (dt * np.pi * m * wiener), turn) if wiener > 0
@@ -311,13 +295,11 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
         if marks[0] == count:
             marks.pop(0)
         if not np.all(np.isfinite(coeffs)):
-            raise NumericalFailure(f"non-finite coefficients at step {i}")
+            raise NumericalFailure(f"non-finite coefficients at step {i + 1}")
         if m < grid.n and not _resolves(coeffs, m):
             # one doubling always suffices: the padded top eighth is zero
             m *= 2
-            ws, coeffs = climb(count * dt, coeffs, m)
-        tendency = tendency_of(coeffs)
-        yield i, count * dt, h, coeffs, ws.grid, tendency
+            ws, coeffs = climb(coeffs, m)
 
 
 _FIT_START = 5.0   # the fit window opens at this multiple of min u0'
@@ -369,60 +351,57 @@ def simulate(config: SimulationConfig, rider=None) -> SimulationRecord:
     The march sizes each step by the flow and the linear waves, never
     shorter than dt*n/m on rung m, and lands on t_max and on every
     snapshot time, which `SimulationConfig` requires to be multiples of
-    dt.  With stride 1 diagnostics are sampled after every march step;
-    with stride k > 1 at every multiple of k*n/m steps of dt on the
-    current rung m, which the march lands on like snapshots; and always at
-    the last step.  Samples are taken on the current rung's grid, with u
-    read from the samples that the march's tendency took, and each one
-    after t = 0 is judged by `slope_verdict`, against the slope of the
-    t = 0 sample and the sampled coefficients.  Snapshots and the final
-    field are on the config grid.  The Q and E drifts are relative to the
-    t = 0 sample.  The record counts the march steps and keeps the shortest
-    and longest step taken on each rung.
+    dt.  Diagnostics are sampled at the steps the march flags as sample
+    marks: with stride 1 after every march step; with stride k > 1 at
+    every multiple of k*n/m steps of dt on the current rung m, which the
+    march lands on like snapshots; and always at the last step.  Samples
+    are taken on the current rung's grid, with u the samples the march's
+    tendency squared, and each one after t = 0 is judged by
+    `slope_verdict`, against the slope of the t = 0 sample and the sampled
+    coefficients.  Snapshots and the final field are on the config grid.
+    The Q and E drifts are relative to the t = 0 sample.  The record lists
+    each rung with the time a step first reported it, counts the march
+    steps and keeps the shortest and longest step taken on each rung.
 
     A rider, if given, rides the march: `rider.advance_to(i, t, h, coeffs,
-    rung, tendency)` is called with every step `march` yields, before its
-    snapshots, and a true return asks for a sample at that step; at every
-    sample, `rider.sample(t)` returns a slope minimum, and the verdict
-    judges the steeper of it and the grid's.  NumericalFailure raised by
-    the rider ends the run like the march's own.  A NumericalFailure run
-    records its reason: "non_finite" for non-finite values of the march or
-    the rider, "sup_bound" for a sup|u| past `slope_verdict`'s bound.
+    rung, tendency)` is called with those fields of every step `march`
+    yields, before its snapshots, and a true return asks for a sample at
+    that step; at every sample, `rider.sample(t)` returns a slope minimum,
+    and the verdict judges the steeper of it and the grid's.
+    NumericalFailure raised by the rider ends the run like the march's
+    own.  A NumericalFailure run records its reason: "non_finite" for
+    non-finite values of the march or the rider, "sup_bound" for a sup|u|
+    past `slope_verdict`'s bound.
     """
     grid = PeriodicGrid(config.n)
     n_steps = int(round(config.t_max / config.dt))
     # each snapshot time's count of dt, and the time the march lands there
     marks = {t: int(round(t / config.dt)) for t in config.snapshot_times}
     snap_left = sorted((k * config.dt, t) for t, k in marks.items())
-    t_end = n_steps * config.dt
     times, samples, snapshots, grids = [], [], {}, []
     stepped = {}   # rung size -> (shortest, longest) step taken on it
-    padded = [None]   # the march's samples of each yielded coeffs
     steps = march(grid, config.initial.sample(grid).coefficients, config.dt,
-                  config.gamma, n_steps, grids=grids, stops=marks.values(),
-                  stride=config.stride, padded=padded)
+                  config.gamma, n_steps, stops=marks.values(),
+                  stride=config.stride)
 
     def on_grid(coeffs):
         return PeriodicField(grid, coefficients=resize_coefficients(
             coeffs, config.n))
 
-    def on_mark(t, rung):
-        every = _sample_every(config.stride, config.n, rung.n)
-        return config.stride == 1 or round(t / config.dt) % every == 0
-
     terminated, failure, stop = Termination.Horizon, None, None
     try:
-        for step in steps:
-            i, t, h, coeffs, rung, _ = step
-            if i:   # step i was taken on the rung step i - 1 reached
-                lo, hi = stepped.get(taken_on, (h, h))
-                stepped[taken_on] = (min(lo, h), max(hi, h))
-            taken_on = rung.n
-            asked = rider is not None and rider.advance_to(*step)
+        for i, t, h, coeffs, rung, tendency, u, sample in steps:
+            if i:   # step i was taken on the latest rung before it
+                lo, hi = stepped.get(grids[-1][1], (h, h))
+                stepped[grids[-1][1]] = (min(lo, h), max(hi, h))
+            if not grids or grids[-1][1] != rung.n:
+                grids.append((t, rung.n))
+            asked = rider is not None and rider.advance_to(
+                i, t, h, coeffs, rung, tendency)
             while snap_left and t >= snap_left[0][0]:
                 snapshots[snap_left.pop(0)[1]] = on_grid(coeffs)
-            if on_mark(t, rung) or t == t_end or asked:
-                d = field_diagnostics(coeffs, rung, config.gamma, padded[0])
+            if sample or asked:
+                d = field_diagnostics(coeffs, rung, config.gamma, u)
                 times.append(t)
                 samples.append(d)
                 slope = d.min_slope if rider is None \

@@ -10,8 +10,8 @@ mode 0 and the Nyquist mode zero; its callers multiply by it themselves.
 sup|u|, the slope extrema, mass and the conserved quantities Q and E; the
 solver's samples, the line criterion and the quadrature scalars of initial
 data all read it.  It reads u from `padded_samples`, the 3n/2-point samples
-that the solver squares for its quadratic term, so a solver sample can hand
-in the samples its tendency already took, and samples u_x on a 4n grid.
+that the solver's march takes once per state, squares for the tendency and
+hands to a sample, and samples u_x on a 4n grid.
 """
 from __future__ import annotations
 

@@ -185,7 +185,7 @@ def test_criterion_10_scan_determinism(acceptance, tmp_path):
 def test_dispersion_phase_error(acceptance, monkeypatch):
     # quadratic term off: mode 1 must rotate at exactly gamma/(2 pi)
     monkeypatch.setattr(SpectralWorkspace, "nonlinear_term",
-                        lambda ws, c: np.zeros_like(c))
+                        lambda ws, u: np.zeros(ws.n // 2 + 1, complex))
     # one rotation period, 4 pi^2, on the dt lattice
     cfg = SimulationConfig(two_mode_quantities(1.0, 0.0), gamma=1.0, n=64,
                            dt=0.01, t_max=round(4.0 * math.pi ** 2, 2),

@@ -64,6 +64,19 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="not a boolean"):
             read_config(p, COMMAND_KEYS["scan"])
 
+    def test_repeated_key_is_usage_error(self, tmp_path, capsys):
+        # the last line used to win without a word: a = 0.0 here
+        p = tmp_path / "run.cfg"
+        p.write_text("a = 0.05\nn = 64\n\na = 0.0\n")
+        with pytest.raises(ValueError, match="run.cfg:4: key 'a' already "
+                                             "set on line 1"):
+            read_config(p, SIMULATE)
+        code, out, err = run_cli(["simulate", "--config", str(p),
+                                  "--output-dir", str(tmp_path)], capsys)
+        assert code == 1 and out == ""
+        assert "run.cfg:4: key 'a' already set on line 1" in err
+        assert not (tmp_path / "summary.json").exists()
+
 
 # every committed config and the command that runs it
 CONFIG_COMMANDS = {
@@ -409,6 +422,21 @@ class TestSimulateCommand:
         # summary used to say nothing of it
         assert summary["snapshots_missed"] == [25.0]
         assert not (tmp_path / "snapshot_t25.csv").exists()
+
+    def test_snapshot_files_name_their_exact_times(self, tmp_path, capsys):
+        # both times render as 1.00001 under :g, and the second snapshot
+        # used to overwrite the first in snapshot_t1.00001.csv
+        code, out, _ = run_cli(
+            ["simulate", "--n", "64", "--dt", "1e-6", "--t-max", "1.000012",
+             "--snapshots", "1.000011,1.000012", "--stride", "100000",
+             "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["snapshots_missed"] == []
+        names = sorted(p.name for p in tmp_path.glob("snapshot_t*.csv"))
+        assert names == ["snapshot_t1.000011.csv", "snapshot_t1.000012.csv"]
+        first, last = (np.loadtxt(tmp_path / name, delimiter=",",
+                                  skiprows=1) for name in names)
+        assert not np.array_equal(first, last)
 
 
 class TestCharacteristicsCommand:

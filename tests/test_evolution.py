@@ -83,7 +83,7 @@ class TestLinearDispersion:
     def linear_flow(self, monkeypatch):
         # the quadratic term off: x - 0 is exact, so rhs is the linear flow
         monkeypatch.setattr(SpectralWorkspace, "nonlinear_term",
-                            lambda ws, c: np.zeros_like(c))
+                            lambda ws, u: np.zeros(ws.n // 2 + 1, complex))
 
     def test_single_mode_phase(self):
         # mode k rotates at rate gamma/(2 pi k); the k=1 cosine translates
@@ -167,14 +167,16 @@ class TestNonlinearTerm:
         ux = np.fft.irfft(c * ik * (m / n), n=m)
         ref = np.fft.rfft(u * ux)[: n // 2 + 1] * (n / m)
         ref[-1] = 0.0
-        got = SpectralWorkspace(PeriodicGrid(n)).nonlinear_term(c)
+        got = SpectralWorkspace(PeriodicGrid(n)).nonlinear_term(
+            padded_samples(c, n))
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_rhs_conserves_q(self, n):
         # dQ/dt is the Parseval-weighted Re sum conj(c_k) rhs_k
         c = self.random_coeffs(n, seed=n + 1)
-        rhs = SpectralWorkspace(PeriodicGrid(n)).rhs(c, 1.0)
+        rhs = SpectralWorkspace(PeriodicGrid(n)).rhs(c, 1.0,
+                                                     padded_samples(c, n))
         w = np.full(n // 2 + 1, 2.0)
         w[0] = w[-1] = 1.0
         terms = w * np.conj(c) * rhs
@@ -184,35 +186,41 @@ class TestNonlinearTerm:
 class TestMarchTendency:
     def test_tendency_is_rhs_of_the_yielded_state(self):
         # a = 0.5 climbs off the 256 rung by t = 0.25
-        grid, grids = PeriodicGrid(1024), []
+        grid = PeriodicGrid(1024)
         c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
-        for i, _, _, c, rung, tendency in march(grid, c0, 5e-4, 1.0, 500,
-                                                grids=grids):
-            assert np.array_equal(tendency,
-                                  SpectralWorkspace(rung).rhs(c, 1.0)), i
-        assert len(grids) >= 2
+        rungs = set()
+        for i, _, _, c, rung, tendency, *_ in march(grid, c0, 5e-4, 1.0,
+                                                     500):
+            assert np.array_equal(tendency, SpectralWorkspace(rung).rhs(
+                c, 1.0, padded_samples(c, rung.n))), i
+            rungs.add(rung.n)
+        assert len(rungs) >= 2
 
     def test_handed_in_samples_give_the_same_diagnostics(self):
         # a sample reads u from the tendency's samples, bitwise the ones
         # field_diagnostics would take itself, on every rung
-        grid, padded = PeriodicGrid(1024), [None]
+        grid = PeriodicGrid(1024)
         c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
         rungs = set()
-        for i, _, _, c, rung, _ in march(grid, c0, 5e-4, 1.0, 500, grids=[],
-                                         padded=padded):
-            assert np.array_equal(padded[0], padded_samples(c, rung.n)), i
-            assert (field_diagnostics(c, rung, 1.0, padded[0])
+        for i, _, _, c, rung, _, u, _ in march(grid, c0, 5e-4, 1.0, 500):
+            assert np.array_equal(u, padded_samples(c, rung.n)), i
+            assert (field_diagnostics(c, rung, 1.0, u)
                     == field_diagnostics(c, rung, 1.0)), i
             rungs.add(rung.n)
         assert len(rungs) >= 2
 
-    def test_replaced_quadratic_term_hands_in_no_samples(self, monkeypatch):
-        monkeypatch.setattr(SpectralWorkspace, "nonlinear_term",
-                            lambda ws, c: np.zeros_like(c))
-        grid, padded = PeriodicGrid(64), [None]
-        c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
-        for _ in march(grid, c0, 1e-3, 1.0, 3, grids=[], padded=padded):
-            assert padded[0] is None
+    def test_workspace_keeps_no_state_per_call(self):
+        # the attributes of a workspace are its multipliers, built once: a
+        # step binds no new name and rebinds none
+        grid = PeriodicGrid(64)
+        ws = SpectralWorkspace(grid)
+        before = dict(vars(ws))
+        c = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
+        ws.rk4_step(c, 1e-3, 1.0)
+        ws.rk4_step(c, 1e-3, 1.0, ws.rhs(c, 1.0, padded_samples(c, 64)))
+        after = vars(ws)
+        assert after.keys() == before.keys()
+        assert all(after[k] is v for k, v in before.items())
 
     def test_one_transform_per_sample(self, monkeypatch):
         # each step's four RK4 stages take one irfft each, the first of them
@@ -238,7 +246,8 @@ class TestMarchTendency:
         ws = SpectralWorkspace(grid)
         c = two_mode_quantities(0.1, 0.05).sample(grid).coefficients
         c[-1] = 0.0
-        assert np.array_equal(ws.rk4_step(c, 1e-2, 1.0, ws.rhs(c, 1.0)),
+        k1 = ws.rhs(c, 1.0, padded_samples(c, 256))
+        assert np.array_equal(ws.rk4_step(c, 1e-2, 1.0, k1),
                               ws.rk4_step(c, 1e-2, 1.0))
 
 
@@ -365,11 +374,10 @@ class TestRungSteps:
     # dt is the lattice unit: a step on rung m spans max(n/m, floor(_NU /
     # (dt*pi*m*S))) steps of dt, shortened only to land on a mark
     def test_labels_count_steps_of_dt_on_every_rung(self):
-        grid, grids, dt = PeriodicGrid(1024), [], 2.5e-4
+        grid, dt = PeriodicGrid(1024), 2.5e-4
         c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
         count, rungs, start = 0, [], None
-        for i, t, h, c, rung, _ in march(grid, c0, dt, 1.0, 2000,
-                                         grids=grids):
+        for i, t, h, c, rung, *_ in march(grid, c0, dt, 1.0, 2000):
             if i:
                 m = rungs[-1]                # the rung the step was taken on
                 span = max(1024 // m, int(min(
@@ -382,7 +390,7 @@ class TestRungSteps:
             rungs.append(rung.n)
             start = c
         assert count == 2000
-        assert {n for _, n in grids} == {256, 512, 1024}
+        assert set(rungs) == {256, 512, 1024}
 
     def test_last_step_lands_on_t_max(self):
         # 1001 steps of dt: 45 steps of 24 down to 21 dt on the 256 rung,
@@ -421,16 +429,16 @@ class TestStepRule:
     def breaking_steps(self):
         """A run across three rungs with stride marks and a snapshot: each
         step's rung, start state, length and end count."""
-        grid, grids, dt = PeriodicGrid(1024), [], 2.5e-4
+        grid, dt = PeriodicGrid(1024), 2.5e-4
         c0 = two_mode_quantities(0.5, 0.0).sample(grid).coefficients
         steps, start, rung, count = [], c0, None, 0
-        for i, t, h, c, to, _ in march(grid, c0, dt, 1.0, 2000, grids=grids,
-                                       stops=(1001,), stride=7):
+        for i, t, h, c, to, *_ in march(grid, c0, dt, 1.0, 2000,
+                                        stops=(1001,), stride=7):
             if i:
                 count += int(round(h / dt))
                 steps.append((rung.n, start, h, count))
             start, rung = c, to
-        assert {n for _, n in grids} == {256, 512, 1024}
+        assert {m for m, *_ in steps} == {256, 512, 1024}
         return dt, steps
 
     def test_no_step_shorter_than_the_rung_step_but_at_a_mark(self,
@@ -448,12 +456,33 @@ class TestStepRule:
             assert h * np.pi * m * wiener(c, m) <= _NU
             assert h / TWO_PI <= _TURN
 
+    def test_sample_flags_are_the_marks_of_the_rung_reached(self):
+        # stride 7 marks every 28 counts of dt on the 256 rung and every 14
+        # on the 512 rung; stops at the odd multiples of 14 make the step
+        # that climbs to 512 land on 1078 = 77*14, a mark of the rung it
+        # reached but not of the rung it was taken on
+        grid, dt = PeriodicGrid(1024), 2.5e-4
+        c0 = two_mode_quantities(0.4, 0.0).sample(grid).coefficients
+        rungs, marked = [], []
+        for _, t, _, _, rung, _, _, sample in march(
+                grid, c0, dt, 1.0, 2000, stops=range(14, 2000, 28),
+                stride=7):
+            count = int(round(t / dt))
+            assert sample == (count % (7 * 1024 // rung.n) == 0
+                              or count == 2000), count
+            rungs.append((count, rung.n))
+            if sample:
+                marked.append(count)
+        climbs = [r for r, q in zip(rungs[1:], rungs) if r[1] != q[1]]
+        assert climbs[0] == (1078, 512) and 1078 in marked
+        assert {n for _, n in rungs} == {256, 512, 1024}
+        assert marked[0] == 0 and marked[-1] == 2000
+
     def test_zero_datum_steps_at_the_rung_step(self):
         # S = 0 allows any step; the march keeps n/m steps of dt
         grid = PeriodicGrid(1024)
         lengths = [h for i, _, h, *_ in march(
-            grid, np.zeros(513, dtype=complex), 1e-3, 1.0, 100, grids=[])
-            if i]
+            grid, np.zeros(513, dtype=complex), 1e-3, 1.0, 100) if i]
         assert lengths == [4e-3] * 25
 
     def test_zero_data_scan_point(self, monkeypatch):
