@@ -191,7 +191,9 @@ def _cmd_characteristics(cfg) -> dict:
 def _cmd_wave(cfg) -> dict:
     """A non-empty branch_ratios sweeps the branch and writes its steepest
     profile; else corner gives the corner wave, else one Newton solve at
-    c_over_gamma, the one mode that reads it."""
+    c_over_gamma, the one mode that reads it.  "tail" is the profile's
+    `WaveProfile.tail`, the largest over a branch: above round-off, n does
+    not resolve the wave."""
     gamma, n = cfg["gamma"], cfg["n"]
     ratios = _floats(cfg["branch_ratios"])
     if ratios and cfg["corner"]:
@@ -221,7 +223,8 @@ def _cmd_wave(cfg) -> dict:
     waves.write_profile_csv(w, out / "wave.csv")
     _write_plot(out, "wave", "wave.csv", _WAVE_PLOT)
     return {**info, "c_over_gamma": w.c / w.gamma, "amplitude": w.amplitude,
-            "residual": residual}
+            "residual": residual,
+            "tail": max(p.tail for p in profiles) if ratios else w.tail}
 
 
 def _cmd_scan(cfg) -> dict:

@@ -63,8 +63,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalFailure
-from .fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
-                      padded_samples, resize_coefficients)
+from .fourier import (ROUNDOFF_TAIL, PeriodicField, PeriodicGrid,
+                      band_tail, field_diagnostics, padded_samples,
+                      resize_coefficients)
 from .initial import InitialData
 from .tables import write_csv
 
@@ -208,24 +209,14 @@ class SpectralWorkspace:
         return coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-_TAIL = 1e-13   # largest top-of-band mode, relative to the peak mode, that
-                # a rung still counts as resolved to round-off
-_LOST = 1e-3    # the top-of-band level past which the finest grid has lost
-                # the front and a breaking run stops
+_LOST = 1e-3    # the `band_tail` past which the finest grid has lost the
+                # front and a breaking run stops
 _BASE = 256     # the smallest rung of the grid ladder
 _NU = 1.0       # the largest CFL number h*pi*m*S a step is lengthened to;
                 # RK4's limit on the imaginary axis is 2*sqrt(2)
 _TURN = 1 / 128  # the largest angle z = gamma*h/(2 pi) a lengthened step
                  # turns mode 1 by; RK4's relative phase error is then
                  # z^4/120 ~ 3e-11 per radian turned
-
-
-def _resolves(coeffs: np.ndarray, m: int, level: float = _TAIL) -> bool:
-    """Whether the modes from 7m/16 up lie within `level` of the peak mode:
-    the top eighth of an m-point grid's modes, and on a finer grid also all
-    the modes that the m-point grid drops.  A zero field is resolved."""
-    mags = np.abs(coeffs)
-    return mags[7 * m // 16:].max() <= level * mags.max()
 
 
 def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
@@ -261,7 +252,7 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
     at the first step whose coefficients are not all finite.
     """
     m = min(_BASE, grid.n)
-    while m < grid.n and not _resolves(coeffs, m):
+    while m < grid.n and band_tail(coeffs, m) > ROUNDOFF_TAIL:
         m *= 2
 
     def climb(coeffs, m):
@@ -296,7 +287,7 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
             marks.pop(0)
         if not np.all(np.isfinite(coeffs)):
             raise NumericalFailure(f"non-finite coefficients at step {i + 1}")
-        if m < grid.n and not _resolves(coeffs, m):
+        if m < grid.n and band_tail(coeffs, m) > ROUNDOFF_TAIL:
             # one doubling always suffices: the padded top eighth is zero
             m *= 2
             ws, coeffs = climb(coeffs, m)
@@ -330,7 +321,7 @@ def slope_verdict(config: SimulationConfig, t: float, min_slope: float,
         reason = "stop_slope"
     elif (min_slope <= _fit_start(first_slope)
           and coeffs.size == config.n // 2 + 1
-          and not _resolves(coeffs, config.n, _LOST)):
+          and band_tail(coeffs, config.n) > _LOST):
         reason = "front_unresolved"
     else:
         return None

@@ -11,7 +11,10 @@ sup|u|, the slope extrema, mass and the conserved quantities Q and E; the
 solver's samples, the line criterion and the quadrature scalars of initial
 data all read it.  It reads u from `padded_samples`, the 3n/2-point samples
 that the solver's march takes once per state, squares for the tendency and
-hands to a sample, and samples u_x on a 4n grid.
+hands to a sample, and samples u_x on a 4n grid.  `band_tail` is the one
+measure of how well a grid resolves a spectrum: the grid ladders of the
+march and of the Newton wave solve, the march's lost-front stop and the
+`"tail"` of a wave's summary all read it.
 """
 from __future__ import annotations
 
@@ -73,6 +76,23 @@ def resize_coefficients(coeffs: np.ndarray, m: int) -> np.ndarray:
     out = np.zeros(m // 2 + 1, dtype=complex)
     out[:k] = coeffs[:k] * (m / n)
     return out
+
+
+ROUNDOFF_TAIL = 1e-13   # the largest `band_tail` at which an m-point grid
+                        # still counts as resolving a field to round-off
+
+
+def band_tail(coeffs: np.ndarray, m: int) -> float:
+    """The largest modulus among the modes from 7m/16 up over the peak
+    modulus: the top eighth of an m-point grid's modes, and on a finer grid
+    also all the modes that the m-point grid drops.  coeffs are indexed by
+    wavenumber.  The spectrum of an analytic field decays exponentially, so
+    the top of the band is where a grid that is too coarse shows first
+    (Sulem, Sulem & Frisch, J. Comput. Phys. 50:138, 1983).  A zero field
+    has tail 0."""
+    mags = np.abs(coeffs)
+    peak = mags.max()
+    return float(mags[7 * m // 16:].max() / peak) if peak > 0 else 0.0
 
 
 class PeriodicField:

@@ -11,6 +11,19 @@ The crest-wave coefficient: substituting psi = A(3x^2 - pi^2) gives
     const:   6 A s  =  A pi^2 - 6 A^2 pi^2  =>  s = pi^2/9,
 so the quadratic crest profile is (gamma/18)(3x^2 - pi^2), with one-sided
 crest slopes +-(gamma pi)/3.
+
+Each Newton solve climbs a ladder of grids, as `evolution.march` does.  A
+wave's cosine modes decay exponentially until the corner is near, so most
+of the branch is held by far fewer modes than n/2 - 1, and a dense Newton
+step costs O(K^3) in the K retained modes.  The solve starts on the first
+grid m = 64, 128, ... below n whose `band_tail` of the start (the top
+eighth of m's modes and all that m drops) is at round-off,
+`fourier.ROUNDOFF_TAIL`.  It converges there and climbs, from the
+zero-padded solution, to the next grid while the solution's own top eighth
+is not at round-off; a coarse grid that does not converge hands its start
+on.  It always finishes with Newton on n from the zero-padded coarse
+solution, so every wave meets the Galerkin tolerance on n and is judged
+there.
 """
 from __future__ import annotations
 
@@ -21,6 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as windows
 
 from .errors import NoConvergence
+from .fourier import ROUNDOFF_TAIL, band_tail
 from .tables import write_csv
 
 CREST_SPEED_RATIO = math.pi ** 2 / 9.0
@@ -29,6 +43,7 @@ _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-12, 50   # residual 2-norm, iteration cap
 # a solve has stalled when its residual 2-norm is still above _STALL_FACTOR
 # times its value _STALL_STEPS Newton steps earlier
 _STALL_STEPS, _STALL_FACTOR = 4, 0.99
+_BASE = 64   # the smallest grid of the Newton ladder
 
 
 @dataclass(frozen=True)
@@ -41,6 +56,12 @@ class WaveProfile:
     @property
     def amplitude(self) -> float:
         return float(self.phi.max() - self.phi.min())
+
+    @property
+    def tail(self) -> float:
+        """The `band_tail` of phi on its own grid: how far the top eighth
+        of its modes lies below the peak mode."""
+        return band_tail(np.fft.rfft(self.phi), len(self.phi))
 
 
 def _grid(n: int) -> np.ndarray:
@@ -109,6 +130,11 @@ class _NormalizedSolver:
     with a_0 = 0 and a_p = 0 for p > K: exact, because the residual's
     modes above K are dropped by the projection, not aliased into it.
     One window view over the a_|p| assembles it in O(K^2), on no grid.
+
+    The ladder of `_checked_solve` builds a solver for each coarse grid m
+    it visits, since one is a few arrays: the leading m/2 - 1 modes of a
+    start on n are a start on m, and a solution on m, zero-padded, is a
+    start on n.
     """
 
     def __init__(self, n: int = 256):
@@ -183,10 +209,36 @@ def _eps(s: float) -> float:
     return math.sqrt(max(6.0 * (s - 1.0), 0.0))
 
 
+def _coarse_start(n: int, a: np.ndarray, s: float) -> np.ndarray:
+    """The start on n from the ladder of coarse grids m = _BASE, 2 _BASE,
+    ... below n: Newton from a on the first m whose `band_tail` of a is at
+    round-off, then on the next m from that solution, zero-padded, until a
+    solution's own tail is at round-off.  A coarse grid that does not
+    converge hands on the start it was given; a start on no coarse grid
+    is a itself."""
+    def resolved(a, m):   # a holds modes 1..K; band_tail indexes from 0
+        return band_tail(np.concatenate(([0.0], a)), m) <= ROUNDOFF_TAIL
+
+    m = _BASE
+    while m < n and not resolved(a, m):
+        m *= 2
+    while m < n:
+        try:
+            coarse, _ = _NormalizedSolver(m).solve(a[:m // 2 - 1], s)
+        except NoConvergence:
+            return a
+        a = np.zeros(len(a))
+        a[:len(coarse)] = coarse
+        if resolved(a, m):
+            return a
+        m *= 2
+    return a
+
+
 def _checked_solve(solver: _NormalizedSolver, a0: np.ndarray,
                    s: float) -> np.ndarray:
-    """Newton solve that rejects collapse onto the trivial branch and
-    waves whose crest reaches the speed.
+    """Newton solve on solver.n from `_coarse_start`, that rejects collapse
+    onto the trivial branch and waves whose crest reaches the speed.
 
     psi = 0 satisfies the equation at every speed and attracts Newton when
     the start is too far from the wave, so a 'converged' answer with less
@@ -194,7 +246,7 @@ def _checked_solve(solver: _NormalizedSolver, a0: np.ndarray,
     one with max psi >= s: there (s - psi) psi'' is singular, and the
     Galerkin system has spurious solutions far from the wave.
     """
-    a, _ = solver.solve(a0, s)
+    a, _ = solver.solve(_coarse_start(solver.n, a0, s), s)
     psi = solver._fields(a)[0]
     if np.ptp(psi) < _eps(s):           # half of the linear 2 eps
         raise NoConvergence(f"collapsed onto the zero solution at s={s}")

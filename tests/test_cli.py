@@ -527,6 +527,21 @@ class TestWaveCommand:
         assert code == 0
         assert json.loads(out)["branch_points"] == 1
 
+    @pytest.mark.parametrize("args, resolved", [
+        (["--c-over-gamma", "1.05", "--n", "256"], True),
+        (["--c-over-gamma", "1.095", "--n", "512"], False),
+        (["--branch-ratios", "1.05,1.095", "--n", "512"], False)],
+        ids=["1.05-256", "1.095-512", "branch-512"])
+    def test_tail_judges_the_resolution(self, args, resolved, tmp_path,
+                                        capsys):
+        # a converged Galerkin wave 1.6e-3 below the corner speed exits 0
+        # with a pointwise residual of 1.5e-4 on 512 points: its top modes
+        # stand above round-off, and "tail" says so
+        code, out, _ = run_cli(["wave", *args, "--output-dir",
+                                str(tmp_path)], capsys)
+        assert code == 0
+        assert (json.loads(out)["tail"] < 1e-15) == resolved
+
     def test_corner_and_branch_conflict(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["wave", "--corner", "true", "--branch-ratios", "1.01,1.03",

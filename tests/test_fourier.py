@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ohlab.fourier import (PeriodicField, PeriodicGrid, field_diagnostics,
-                           padded_samples, parabolic_minmax, quartic_minmax,
+from ohlab.fourier import (PeriodicField, PeriodicGrid, band_tail,
+                           field_diagnostics, padded_samples,
+                           parabolic_minmax, quartic_minmax,
                            resize_coefficients, spectral_derivative)
 
 TWO_PI = 2.0 * np.pi
@@ -56,6 +57,20 @@ class TestTransforms:
             PeriodicField(g)
         with pytest.raises(ValueError):
             PeriodicField(g, values=np.zeros(8), coefficients=np.zeros(5))
+
+
+class TestBandTail:
+    def test_top_eighth_and_dropped_modes_over_the_peak(self):
+        # modes e^-k on a 128-point grid: the top eighth of 64 points
+        # starts at mode 28, and a mode that 64 points drop counts too
+        c = np.exp(-np.arange(65.0)) * (3.0 - 4.0j)
+        assert band_tail(c, 64) == pytest.approx(np.exp(-28.0), rel=1e-12)
+        assert band_tail(c, 128) == pytest.approx(np.exp(-56.0), rel=1e-12)
+        c[40] = 0.5 * c[0]
+        assert band_tail(c, 64) == pytest.approx(0.5, rel=1e-12)
+
+    def test_zero_field_has_no_tail(self):
+        assert band_tail(np.zeros(33, dtype=complex), 32) == 0.0
 
 
 class TestDerivative:

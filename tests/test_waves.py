@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ohlab import waves
 from ohlab.cli import COMMAND_KEYS, read_config
 from ohlab.errors import NoConvergence
 from ohlab.waves import (CORNER_COEFFICIENT, CREST_SPEED_RATIO,
@@ -126,18 +127,21 @@ class TestNewtonSolve:
         with pytest.raises(NoConvergence, match="collapsed onto the zero"):
             _checked_solve(solver, np.zeros(len(solver.k)), 1.05)
 
-    def test_cold_start_near_limit_falls_back(self):
-        # far from small amplitude the expansion start fails; continuation
-        # from small s must still land on the wave that a branch reaches.
-        # 1.6e-3 below the corner speed n = 512 leaves a spectral tail of
-        # 1.5e-4 in the pointwise residual, so the profiles are compared
+    def test_cold_start_near_limit_falls_back(self, monkeypatch):
+        # far from small amplitude the expansion start fails on one grid;
+        # continuation from small s must still land on the wave that a
+        # branch reaches.  The ladder reaches it from the expansion, so the
+        # fallback runs here with every solve on n alone.  1.6e-3 below the
+        # corner speed n = 512 leaves a spectral tail of 1.5e-4 in the
+        # pointwise residual, so the profiles are compared
+        ref = continuation_branch(1.0, [1.01, 1.05, 1.09, 1.095], n=512)[-1]
+        monkeypatch.setattr(waves, "_coarse_start", lambda n, a, s: a)
         solver = _NormalizedSolver(512)
         with pytest.raises(NoConvergence):
             _checked_solve(solver, _expansion_modes(1.095, 512), 1.095)
         w = solve_periodic_wave(1.095, 1.0, n=512)
         lin_amp = 2.0 * math.sqrt(6.0 * 0.095)
         assert w.amplitude > lin_amp
-        ref = continuation_branch(1.0, [1.01, 1.05, 1.09, 1.095], n=512)[-1]
         assert np.max(np.abs(w.phi - ref.phi)) < 1e-12
 
     @staticmethod
@@ -167,21 +171,25 @@ class TestNewtonSolve:
         # 3.5% a step for about 20 steps before Newton's quadratic phase,
         # but by 2.2% or more over any 4 of them: not a stall.  What it
         # converges onto is the spurious wave with its crest above s that
-        # `_checked_solve` rejects (test_crest_above_the_speed_rejected)
+        # `_checked_solve` rejects (test_crest_above_the_speed_rejected) and
+        # that the ladder does not reach
         assert self.newton_steps(monkeypatch, 512, 1.093) == (26, True)
 
     @pytest.mark.parametrize("s, n", [(1.093, 512), (1.093, 256),
                                       (1.096, 256)])
-    def test_crest_above_the_speed_rejected(self, s, n):
-        # Newton from the expansion used to stop on a Galerkin solution with
-        # its crest above s, where (s - psi) psi'' is singular: amplitude
-        # 1.8129 at (1.093, 512) against 1.57073 at n = 1024, pointwise
-        # residual 747.  The fallback continuation finds the wave
+    def test_crest_above_the_speed_rejected(self, s, n, monkeypatch):
+        # Newton from the expansion on n alone stops on a Galerkin solution
+        # with its crest above s, where (s - psi) psi'' is singular:
+        # amplitude 1.8129 at (1.093, 512) against 1.57073 at n = 1024,
+        # pointwise residual 747.  The check rejects it; the ladder reaches
+        # the wave from the same start
         solver = _NormalizedSolver(n)
         a, _ = solver.solve(_expansion_modes(s, n), s)
         assert solver._fields(a)[0].max() >= s
-        with pytest.raises(NoConvergence, match="crest at or above"):
-            _checked_solve(solver, _expansion_modes(s, n), s)
+        with monkeypatch.context() as one_grid:
+            one_grid.setattr(waves, "_coarse_start", lambda n, a, s: a)
+            with pytest.raises(NoConvergence, match="crest at or above"):
+                _checked_solve(solver, _expansion_modes(s, n), s)
         w = solve_periodic_wave(s, 1.0, n=n)
         ref = solve_periodic_wave(s, 1.0, n=1024)
         assert w.phi.max() < s
@@ -338,17 +346,58 @@ class TestSecantPredictor:
         Path(__file__).resolve().parents[1] / "configs" / "wave_branch.cfg",
         COMMAND_KEYS["wave"])["branch_ratios"].split(",")]
 
-    def test_few_newton_steps_per_ratio(self, monkeypatch):
-        # one Jacobian per Newton step, counted by ratio: from the previous
-        # solution alone the ratios took [3, 8, 6, 5, 5, 5, 6, 6, 6] steps;
-        # the secant in eps takes [3, 3, 3, 3, 3, 3, 3, 3, 4] and bisects
-        # nowhere
+    @staticmethod
+    def jacobians(monkeypatch, run):
+        """The Jacobians that run() assembles, counted by (ratio, grid)."""
         steps, jacobian = Counter(), _NormalizedSolver.jacobian
-        monkeypatch.setattr(_NormalizedSolver, "jacobian", lambda self, a, s:
-                            steps.update([s]) or jacobian(self, a, s))
-        continuation_branch(1.0, self.RATIOS, n=512)
-        assert set(steps) == set(self.RATIOS)
-        assert max(steps.values()) <= 4
+        with monkeypatch.context() as counted:
+            counted.setattr(_NormalizedSolver, "jacobian", lambda self, a, s:
+                            steps.update([(s, self.n)]) or jacobian(self, a, s))
+            run()
+        return steps
+
+    def test_few_newton_steps_per_ratio(self, monkeypatch):
+        # one Jacobian per Newton step, counted by ratio and grid.  On the
+        # 512 grid alone, from the previous solution the ratios took [3, 8,
+        # 6, 5, 5, 5, 6, 6, 6] steps and from the secant in eps [3, 3, 3, 3,
+        # 3, 3, 3, 3, 4].  The ladder takes the secant's 3 steps on 64 (1.01
+        # to 1.03), 128 (1.04 to 1.06) or 256 (1.07, 1.08) and one more on
+        # the next grid at 1.03, 1.06 and 1.08, so [0, 0, 0, 0, 0, 0, 0, 1,
+        # 4] on 512 and at most 4 in all; nothing bisects
+        steps = self.jacobians(monkeypatch, lambda: continuation_branch(
+            1.0, self.RATIOS, n=512))
+        assert {s for s, _ in steps} == set(self.RATIOS)
+        for s in self.RATIOS:
+            assert steps[s, 512] <= (1 if s <= 1.08 else 4)
+            assert sum(c for (r, _), c in steps.items() if r == s) <= 4
+
+    @pytest.mark.parametrize("n", [6, 32, 64])
+    def test_grid_at_or_below_the_base_takes_todays_steps(self, monkeypatch,
+                                                          n):
+        # with n at or below the ladder's smallest grid every step is on n,
+        # and the steps are those of the solve on n alone
+        def run():
+            continuation_branch(1.0, self.RATIOS, n=n)
+            solve_periodic_wave(1.095, 1.0, n=n)
+
+        ladder = self.jacobians(monkeypatch, run)
+        monkeypatch.setattr(waves, "_coarse_start", lambda n, a, s: a)
+        one_grid = self.jacobians(monkeypatch, run)
+        assert {m for _, m in ladder} == {n}
+        assert ladder == one_grid
+
+    @pytest.mark.parametrize("config", ["wave_branch.cfg",
+                                        "wave_family.cfg"])
+    def test_branch_matches_one_grid_newton(self, monkeypatch, config):
+        # the ladder changes where Newton starts on n, not what it converges
+        # to: each profile is that of the branch solved on n alone
+        ratios = [float(s) for s in read_config(
+            Path(__file__).resolve().parents[1] / "configs" / config,
+            COMMAND_KEYS["wave"])["branch_ratios"].split(",")]
+        ladder = continuation_branch(1.0, ratios, n=512)
+        monkeypatch.setattr(waves, "_coarse_start", lambda n, a, s: a)
+        for w, ref in zip(ladder, continuation_branch(1.0, ratios, n=512)):
+            assert np.max(np.abs(w.phi - ref.phi)) <= 1e-12
 
     def test_branch_matches_cold_solves(self):
         branch = continuation_branch(1.0, self.RATIOS, n=512)
