@@ -207,16 +207,16 @@ def _cmd_wave(cfg) -> dict:
     if ratios:
         profiles = waves.continuation_branch(gamma, ratios, n=n)
         info = {"branch_points": len(profiles),
-                "max_residual": max(waves.ode_residual(w) for w in profiles)}
+                "max_residual": max(w.residual for w in profiles)}
         w = max(profiles, key=lambda p: p.c)
-        residual = waves.ode_residual(w)
+        residual = w.residual
     elif cfg["corner"]:
         w = waves.corner_wave(gamma, n=n)
         residual = waves.ode_residual(w, scheme="fd", exclude_crest=4)
     else:
         w = waves.solve_periodic_wave(cfg["c_over_gamma"] * gamma, gamma,
                                       n=n)
-        residual = waves.ode_residual(w)
+        residual = w.residual
     out = _outdir(cfg)
     if ratios:
         waves.write_branch_csv(profiles, out / "branch.csv")

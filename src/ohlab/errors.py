@@ -17,5 +17,6 @@ class NumericalFailure(OhlabError):
 
 
 class NoConvergence(OhlabError):
-    """Newton iteration failed to converge within the step-halving budget;
-    the wave solvers fall back to continuation, and the CLI exits 2."""
+    """A Newton solve of a traveling wave failed: no convergence, a stall or
+    a collapsed or spurious answer.  A branch bisects a step that fails;
+    any other failure reaches the caller, and the CLI exits 2."""

@@ -20,15 +20,17 @@ grid m = 64, 128, ... below n whose `band_tail` of the start (the top
 eighth of m's modes and all that m drops) is at round-off,
 `fourier.ROUNDOFF_TAIL`.  It converges there and climbs, from the
 zero-padded solution, to the next grid while the solution's own top eighth
-is not at round-off; a coarse grid that does not converge hands its start
-on.  It always finishes with Newton on n from the zero-padded coarse
-solution, so every wave meets the Galerkin tolerance on n and is judged
-there.
+is not at round-off.  It always finishes with Newton on n from the
+zero-padded coarse solution, so every wave meets the Galerkin tolerance on
+n and is judged there.  A solve that fails on any grid of its ladder
+raises `NoConvergence`; the one retry is a branch's step in s, bisected
+when the secant start misses (see `_continue_to`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as windows
@@ -62,6 +64,11 @@ class WaveProfile:
         """The `band_tail` of phi on its own grid: how far the top eighth
         of its modes lies below the peak mode."""
         return band_tail(np.fft.rfft(self.phi), len(self.phi))
+
+    @cached_property
+    def residual(self) -> float:
+        """The spectral `ode_residual` of phi, computed on first use."""
+        return ode_residual(self)
 
 
 def _grid(n: int) -> np.ndarray:
@@ -213,9 +220,8 @@ def _coarse_start(n: int, a: np.ndarray, s: float) -> np.ndarray:
     """The start on n from the ladder of coarse grids m = _BASE, 2 _BASE,
     ... below n: Newton from a on the first m whose `band_tail` of a is at
     round-off, then on the next m from that solution, zero-padded, until a
-    solution's own tail is at round-off.  A coarse grid that does not
-    converge hands on the start it was given; a start on no coarse grid
-    is a itself."""
+    solution's own tail is at round-off; a start on no coarse grid is a
+    itself."""
     def resolved(a, m):   # a holds modes 1..K; band_tail indexes from 0
         return band_tail(np.concatenate(([0.0], a)), m) <= ROUNDOFF_TAIL
 
@@ -223,10 +229,7 @@ def _coarse_start(n: int, a: np.ndarray, s: float) -> np.ndarray:
     while m < n and not resolved(a, m):
         m *= 2
     while m < n:
-        try:
-            coarse, _ = _NormalizedSolver(m).solve(a[:m // 2 - 1], s)
-        except NoConvergence:
-            return a
+        coarse, _ = _NormalizedSolver(m).solve(a[:m // 2 - 1], s)
         a = np.zeros(len(a))
         a[:len(coarse)] = coarse
         if resolved(a, m):
@@ -268,7 +271,9 @@ def _predict(back, last, s: float):
 def _continue_to(solver: _NormalizedSolver, back, last, s_to: float,
                  depth: int = 12) -> np.ndarray:
     """The wave at s_to, from the secant predictor through back and last;
-    a failed solve bisects the step in s, with the same predictor."""
+    a failed solve bisects the step in s, with the same predictor.  A long
+    step back toward s = 1 needs it: from 1.09 and 1.06 the secant start
+    at 1.005 collapses onto psi = 0, and the halves converge."""
     try:
         return _checked_solve(solver, _predict(back, last, s_to), s_to)
     except NoConvergence:
@@ -291,15 +296,8 @@ def _expansion_modes(s: float, n: int) -> np.ndarray:
 
 
 def _cold_solve(solver: _NormalizedSolver, s: float) -> np.ndarray:
-    """The wave at s from the expansion; a start too far from the wave falls
-    back to continuation from s0 = min(1 + (s - 1)/4, 1.01), on the secant
-    from the bifurcation point."""
-    try:
-        return _checked_solve(solver, _expansion_modes(s, solver.n), s)
-    except NoConvergence:
-        s0 = min(1.0 + 0.25 * (s - 1.0), 1.01)
-        a = _checked_solve(solver, _expansion_modes(s0, solver.n), s0)
-        return _continue_to(solver, (1.0, 0.0), (s0, a), s)
+    """The wave at s from the expansion, on the ladder of `_coarse_start`."""
+    return _checked_solve(solver, _expansion_modes(s, solver.n), s)
 
 
 def _check_inputs(gamma: float, n: int, ratios: list) -> None:
@@ -320,9 +318,8 @@ def _check_inputs(gamma: float, n: int, ratios: list) -> None:
 
 def solve_periodic_wave(c: float, gamma: float,
                         n: int = 256) -> WaveProfile:
-    """Newton solve at speed c on n points by `_cold_solve`: from the
-    small-amplitude expansion, or by continuation from small amplitude when
-    that start is too far from the wave."""
+    """Newton solve at speed c on n points by `_cold_solve`, from the
+    small-amplitude expansion; a solve that fails raises `NoConvergence`."""
     s = c / gamma if gamma > 0 else math.nan
     _check_inputs(gamma, n, [s])
     solver = _NormalizedSolver(n)
@@ -334,8 +331,8 @@ def continuation_branch(gamma: float, speed_ratios, n: int = 512):
     profiles in input order.  The first ratio is solved like
     `solve_periodic_wave`.  Each later one starts from the secant in eps
     through the last two solutions (the bifurcation point (1, 0) stands in
-    before the second), with oversized parameter steps bisected
-    automatically."""
+    before the second), and a step whose solve fails is bisected
+    (`_continue_to`)."""
     ratios = list(speed_ratios)
     _check_inputs(gamma, n, ratios)
     solver = _NormalizedSolver(n)
@@ -357,4 +354,4 @@ def write_branch_csv(profiles, path):
     write_csv(path, "c_over_gamma,amplitude,residual",
               [[w.c / w.gamma for w in profiles],
                [w.amplitude for w in profiles],
-               [ode_residual(w) for w in profiles]])
+               [w.residual for w in profiles]])

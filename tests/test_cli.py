@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ohlab import waves
 from ohlab.cli import (COMMAND_KEYS, _floats, _settings, build_parser,
                        dispatch, read_config)
 from ohlab.scan import ScanConfig
@@ -518,9 +519,23 @@ class TestWaveCommand:
         assert float(lines[-1].split(",")[1]) == info["amplitude"]
         assert (tmp_path / "wave.csv").exists()
 
+    def test_branch_residual_computed_once(self, tmp_path, capsys,
+                                           monkeypatch):
+        # "max_residual", branch.csv and "residual" read each profile's
+        # residual: 7 spectral residuals for 3 profiles, now one each
+        calls, ode_residual = [], waves.ode_residual
+        monkeypatch.setattr(waves, "ode_residual", lambda *args, **kw:
+                            calls.append(1) or ode_residual(*args, **kw))
+        code, _, _ = run_cli(
+            ["wave", "--branch-ratios", "1.01,1.03,1.05", "--n", "128",
+             "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert len(calls) == 3
+
     def test_branch_first_ratio_falls_back(self, tmp_path, capsys):
         # exited 2 where `wave --c-over-gamma 1.095` converged: the branch's
-        # first solve had no continuation fallback
+        # first ratio is now solved as the single solve is, from the
+        # expansion on the grid ladder
         code, out, _ = run_cli(
             ["wave", "--branch-ratios", "1.095", "--n", "512",
              "--output-dir", str(tmp_path)], capsys)

@@ -119,13 +119,28 @@ def test_one_sampling_loop(name):
 
 
 def test_one_cold_start():
-    # the expansion start has one caller, which falls back to continuation
-    # when it fails: a second caller is a second cold-start path
+    # the expansion start has one caller, and a failed cold solve raises:
+    # a second caller is a second cold-start path
     tree = ast.parse((Path(ohlab.__file__).parent / "waves.py").read_text())
     callers = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)
                and call_sites(node, "_expansion_modes")}
     assert callers == {"_cold_solve"}
+
+
+def test_one_retry_in_waves():
+    # a failed Newton solve raises NoConvergence; the one handler that
+    # retries is a branch's bisected step, which a long step back toward
+    # s = 1 reaches (test_waves, test_long_step_back_is_bisected).  A
+    # second handler is a second path to the same wave
+    tree = ast.parse((Path(ohlab.__file__).parent / "waves.py").read_text())
+    handlers = [node for node in ast.walk(tree)
+                if isinstance(node, ast.ExceptHandler)]
+    retrying = {node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and any(isinstance(sub, ast.ExceptHandler)
+                        for sub in ast.walk(node))}
+    assert len(handlers) == 1 and retrying == {"_continue_to"}
 
 
 def test_call_sites_are_counted():

@@ -127,18 +127,13 @@ class TestNewtonSolve:
         with pytest.raises(NoConvergence, match="collapsed onto the zero"):
             _checked_solve(solver, np.zeros(len(solver.k)), 1.05)
 
-    def test_cold_start_near_limit_falls_back(self, monkeypatch):
-        # far from small amplitude the expansion start fails on one grid;
-        # continuation from small s must still land on the wave that a
-        # branch reaches.  The ladder reaches it from the expansion, so the
-        # fallback runs here with every solve on n alone.  1.6e-3 below the
-        # corner speed n = 512 leaves a spectral tail of 1.5e-4 in the
-        # pointwise residual, so the profiles are compared
+    def test_cold_start_near_limit_matches_the_branch(self):
+        # far from small amplitude the expansion start stalls on n = 512
+        # alone (test_stalled_solve_gives_up_early); on the ladder it lands
+        # on the wave that a branch reaches.  1.6e-3 below the corner speed
+        # n = 512 leaves a spectral tail of 1.5e-4 in the pointwise
+        # residual, so the profiles are compared
         ref = continuation_branch(1.0, [1.01, 1.05, 1.09, 1.095], n=512)[-1]
-        monkeypatch.setattr(waves, "_coarse_start", lambda n, a, s: a)
-        solver = _NormalizedSolver(512)
-        with pytest.raises(NoConvergence):
-            _checked_solve(solver, _expansion_modes(1.095, 512), 1.095)
         w = solve_periodic_wave(1.095, 1.0, n=512)
         lin_amp = 2.0 * math.sqrt(6.0 * 0.095)
         assert w.amplitude > lin_amp
@@ -161,7 +156,7 @@ class TestNewtonSolve:
     def test_stalled_solve_gives_up_early(self, monkeypatch):
         # from the expansion at (1.095, 512) the residual falls 0.668 ->
         # 0.568 -> 0.562 and then by under 0.2% a step; the solve used to
-        # run all 50 steps before the fallback took over
+        # run all 50 steps
         steps, converged = self.newton_steps(monkeypatch, 512, 1.095)
         assert not converged
         assert steps == 6
@@ -196,8 +191,8 @@ class TestNewtonSolve:
         assert abs(w.amplitude - ref.amplitude) < 1e-3 * ref.amplitude
 
     def test_branch_starts_like_a_single_solve(self):
-        # the branch's first ratio used to skip the fallback and raise
-        # NoConvergence where the single solve converged
+        # the branch's first ratio once raised NoConvergence where the
+        # single solve converged; both now run `_cold_solve`
         w = continuation_branch(1.0, [1.095], n=512)[0]
         assert np.array_equal(w.phi, solve_periodic_wave(1.095, 1.0,
                                                          n=512).phi)
@@ -209,6 +204,39 @@ class TestNewtonSolve:
         assert ode_residual(w) < 1e-10
         assert abs(np.mean(w.phi)) < 1e-12
         assert even_defect(w.phi) < 1e-12
+
+    @settings(max_examples=20)
+    @given(st.floats(1.0001, CREST_SPEED_RATIO - 1e-7),
+           st.sampled_from([6, 64, 256, 512]))
+    def test_expansion_start_reaches_every_ratio(self, s, n):
+        # nothing retries a failed cold solve, so the expansion on the
+        # ladder must reach the wave over the whole range.  Over 306 ratios
+        # on each of these grids the amplitude was at least 1.00001 times
+        # the linear 2 eps (least near s = 1) and the crest at least 3.6e-3
+        # below s (least near the corner, on 512 points)
+        w = solve_periodic_wave(s, 1.0, n=n)
+        assert w.phi.max() < s
+        assert w.amplitude > 2.0 * math.sqrt(6.0 * (s - 1.0))
+
+    def test_failed_solve_is_not_retried(self, monkeypatch):
+        # every solve with n > 64 starts on the 64 grid.  A failure there
+        # used to hand the start on to n, which converged; now it is the
+        # answer, for a single solve and a branch's first ratio alike
+        calls, solve = [], _NormalizedSolver.solve
+
+        def fails_on_64(self, a, s):
+            calls.append(self.n)
+            if self.n == 64:
+                raise NoConvergence("no convergence on the 64 grid")
+            return solve(self, a, s)
+
+        monkeypatch.setattr(_NormalizedSolver, "solve", fails_on_64)
+        for run in (lambda: solve_periodic_wave(1.05, 1.0, n=512),
+                    lambda: continuation_branch(1.0, [1.01, 1.05], n=512)):
+            calls.clear()
+            with pytest.raises(NoConvergence, match="the 64 grid"):
+                run()
+            assert calls == [64]
 
 
 class TestBadInputs:
@@ -402,6 +430,26 @@ class TestSecantPredictor:
     def test_branch_matches_cold_solves(self):
         branch = continuation_branch(1.0, self.RATIOS, n=512)
         for s, w in zip(self.RATIOS, branch):
+            cold = solve_periodic_wave(s, 1.0, n=512)
+            assert np.max(np.abs(w.phi - cold.phi)) < 1e-12
+
+    def test_long_step_back_is_bisected(self, monkeypatch):
+        # the secant in eps through 1.09 and 1.06 overshoots at 1.005 and
+        # Newton collapses onto psi = 0; `_continue_to` bisects the step at
+        # 1.0325 and both halves converge.  No input reaches any other
+        # retry of a failed solve (test_package, test_one_retry_in_waves)
+        ratios = [1.09, 1.06, 1.005]
+        solver = _NormalizedSolver(512)
+        a = [_cold_solve(solver, s) for s in ratios[:2]]
+        with pytest.raises(NoConvergence, match="collapsed onto the zero"):
+            _checked_solve(solver, waves._predict(
+                (ratios[0], a[0]), (ratios[1], a[1]), ratios[2]), ratios[2])
+        targets, continue_to = [], waves._continue_to
+        monkeypatch.setattr(waves, "_continue_to", lambda *args: targets
+                            .append(args[3]) or continue_to(*args))
+        branch = continuation_branch(1.0, ratios, n=512)
+        assert targets == [1.06, 1.005, 0.5 * (1.06 + 1.005), 1.005]
+        for s, w in zip(ratios, branch):
             cold = solve_periodic_wave(s, 1.0, n=512)
             assert np.max(np.abs(w.phi - cold.phi)) < 1e-12
 
