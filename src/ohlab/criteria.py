@@ -14,11 +14,12 @@ functionals of the initial data:
 The characteristics criterion is searched over the bound time T, not over
 eps: each T > 0 gives tau = 2*sqrt(gamma)*T*sqrt(beta(T)) and so
 eps = 2/expm1(tau) in closed form, and the margin
--u0'(x0) - (1+eps(T))*sqrt(gamma*beta(T)) is maximized on a log-T grid that
-is zoomed around its maximum.  Only the ends of the eps range, and find_t1,
-invert the defining equation, by Newton's method on T^2*beta(T).  The same
-search serves the periodic circle (beta linear in T) and the decaying line
-(beta quadratic in T).
+-u0'(x0) - (1+eps(T))*sqrt(gamma*beta(T)) is maximized over log T: one
+log-T grid picks the maximum, and the root of the margin's derivative, in
+closed form, between the grid's neighbours of that maximum refines it.  Only
+the ends of the eps range, and find_t1, invert the defining equation, by
+Newton's method on T^2*beta(T).  The same search serves the periodic circle
+(beta linear in T) and the decaying line (beta quadratic in T).
 """
 from __future__ import annotations
 
@@ -84,8 +85,9 @@ def cubic_criterion_two(d: InitialData, gamma: float) -> CriterionReport:
 # characteristics criterion
 
 _EPS_RANGE = (1e-4, 1e4)
-_GRID = 65          # points per pass of the log-T search
-_ZOOMS = 8          # each zoom narrows the bracket 32-fold
+_GRID = 65          # points of the log-T grid
+_ROOT_CAP = 40      # Illinois steps; 8-12 reach the bracket tolerance
+_ROOT_TOL = 1e-12   # bracket width in log T at which the root is taken
 _NEWTON_CAP = 50    # Newton takes <= 8 steps from the one-term start
 
 
@@ -124,11 +126,40 @@ def find_t1(sup_abs: float, l2: float, gamma: float, epsilon: float) -> float:
                        math.log1p(2.0 / epsilon))
 
 
+def _bracketed_root(f, a: float, b: float) -> float | None:
+    """Root of f between a < b by the Illinois method (regula falsi that
+    halves the value kept at an end that stayed twice in a row), or None
+    when f(a) > 0 > f(b) does not hold."""
+    fa, fb = f(a), f(b)
+    if not fa > 0.0 > fb:
+        return None
+    side = 0
+    for _ in range(_ROOT_CAP):
+        x = a + (b - a) * (fa / (fa - fb))
+        fx = f(x)
+        if fx > 0.0:
+            a, fa = x, fx
+            if side > 0:
+                fb *= 0.5
+            side = 1
+        elif fx < 0.0:
+            b, fb = x, fx
+            if side < 0:
+                fa *= 0.5
+            side = -1
+        if fx == 0.0 or b - a <= _ROOT_TOL:
+            break
+    return x
+
+
 def _epsilon_search(name: str, min_slope: float, gamma: float,
                     beta_coeffs) -> CriterionReport:
     """Maximize margin = -min_slope - (1+eps)*sqrt(gamma*beta(T)) over the
     bound time T, with eps = 2/expm1(2*sqrt(gamma)*T*sqrt(beta(T))) and eps
-    in _EPS_RANGE: a log-T grid, zoomed _ZOOMS times around its maximum.
+    in _EPS_RANGE.  One _GRID-point log-T grid picks the maximum; inside the
+    grid, the root of d margin/d log T between the maximum's two neighbours
+    is the maximizer, and a grid end, or a bracket that holds no sign
+    change, is reported as it is.
 
     Data whose bound term sqrt(gamma*beta(T)) underflows to 0, because every
     coefficient of gamma*beta does (zero or subnormal data), is degenerate:
@@ -138,20 +169,39 @@ def _epsilon_search(name: str, min_slope: float, gamma: float,
     if not any(gamma * b for b in beta_coeffs):
         return CriterionReport(name, False, -math.inf)
     b0, b1, b2 = beta_coeffs
+    steepest, root_gamma = -float(min_slope), math.sqrt(gamma)
 
-    def eps_and_margin(t):
+    def grid_margin(t):
         beta = b0 + (b1 + b2 * t) * t
-        eps = 2.0 / np.expm1(2.0 * math.sqrt(gamma) * t * np.sqrt(beta))
-        return eps, (-min_slope) - (1.0 + eps) * np.sqrt(gamma * beta)
+        eps = 2.0 / np.expm1(2.0 * root_gamma * t * np.sqrt(beta))
+        return steepest - (1.0 + eps) * np.sqrt(gamma * beta)
+
+    def at(x):
+        """eps, margin and d margin/d log T over gamma*T at T = e^x.  With
+        g = sqrt(gamma*beta), z = 2*sqrt(gamma)*T*sqrt(beta) and
+        d eps/dz = -eps*(1 + eps/2), the derivative is
+        T*(eps*(1 + eps/2)*z'*g - (1 + eps)*gamma*beta'/(2*g)), and
+        z'*g = gamma*(2*beta + T*beta')."""
+        t = math.exp(x)
+        beta, dbeta = b0 + (b1 + b2 * t) * t, b1 + 2.0 * b2 * t
+        g = math.sqrt(gamma * beta)
+        eps = 2.0 / math.expm1(2.0 * root_gamma * t * math.sqrt(beta))
+        slope = (eps * (1.0 + 0.5 * eps) * (2.0 * beta + t * dbeta)
+                 - (1.0 + eps) * dbeta / (2.0 * g))
+        return eps, steepest - (1.0 + eps) * g, slope
 
     lo, hi = (math.log(_bound_time(beta_coeffs, gamma, math.log1p(2.0 / e)))
               for e in reversed(_EPS_RANGE))
-    for _ in range(_ZOOMS + 1):
-        log_t = np.linspace(lo, hi, _GRID)
-        j = int(np.argmax(eps_and_margin(np.exp(log_t))[1]))
-        lo, hi = log_t[max(j - 1, 0)], log_t[min(j + 1, _GRID - 1)]
-    t1 = math.exp(log_t[j])
-    eps, margin = map(float, eps_and_margin(t1))
+    log_t = np.linspace(lo, hi, _GRID)
+    j = int(np.argmax(grid_margin(np.exp(log_t))))
+    x = float(log_t[j])
+    if 0 < j < _GRID - 1:
+        root = _bracketed_root(lambda y: at(y)[2],
+                               float(log_t[j - 1]), float(log_t[j + 1]))
+        if root is not None:
+            x = root
+    eps, margin, _ = at(x)
+    t1 = math.exp(x)
     sat = margin > 0.0
     return CriterionReport(name, sat, margin,
                            time_bound=(t1 if sat else None), epsilon=eps)

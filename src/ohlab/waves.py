@@ -247,9 +247,14 @@ def _checked_solve(solver: _NormalizedSolver, a0: np.ndarray,
     the start is too far from the wave, so a 'converged' answer with less
     than half the linear-theory amplitude is treated as a failure.  So is
     one with max psi >= s: there (s - psi) psi'' is singular, and the
-    Galerkin system has spurious solutions far from the wave.
+    Galerkin system has spurious solutions far from the wave.  A solution
+    with a_1 > 0 is the wave translated by pi, which a secant start that
+    overshoots through a = 0 can reach; a_k -> (-1)^k a_k translates it
+    back to the gauge with its crest at +-pi.
     """
     a, _ = solver.solve(_coarse_start(solver.n, a0, s), s)
+    if a[0] > 0.0:
+        a = solver.sign * a
     psi = solver._fields(a)[0]
     if np.ptp(psi) < _eps(s):           # half of the linear 2 eps
         raise NoConvergence(f"collapsed onto the zero solution at s={s}")

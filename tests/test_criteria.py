@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ohlab import criteria
 from ohlab.criteria import (CriterionReport, LineData, all_reports,
                             characteristics_criterion, cubic_criterion_one,
                             cubic_criterion_two, find_t1, hunter_criterion,
@@ -55,6 +56,22 @@ def bisect_bound_time(beta, gamma, tau):
         below = lhs(mid) < tau
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def dense_two_mode_max(d, gamma):
+    """The characteristics margin's maximum over EPS_GRID for data d."""
+    t1 = np.array([find_t1(d.sup_abs, d.l2, gamma, e) for e in EPS_GRID])
+    return float(np.max((-d.min_slope) - (1.0 + EPS_GRID) * np.sqrt(
+        gamma * (d.sup_abs + gamma * d.l2 * t1))))
+
+
+def dense_line_max(min_slope, beta, gamma):
+    """The line margin's maximum over EPS_GRID for beta(T) = b0 + b1*T +
+    b2*T^2."""
+    b0, b1, b2 = beta
+    t1 = bisect_bound_time(beta, gamma, np.log1p(2.0 / EPS_GRID))
+    return float(np.max((-min_slope) - (1.0 + EPS_GRID) * np.sqrt(
+        gamma * (b0 + (b1 + b2 * t1) * t1))))
 
 
 class TestFindT1:
@@ -234,19 +251,71 @@ class TestSearchMaximum:
     def test_two_mode_beats_the_eps_grid(self, a, b, gamma):
         d = two_mode_quantities(a, b)
         r = characteristics_criterion(d, gamma)
-        t1 = np.array([find_t1(d.sup_abs, d.l2, gamma, e) for e in EPS_GRID])
-        grid = (-d.min_slope) - (1.0 + EPS_GRID) * np.sqrt(
-            gamma * (d.sup_abs + gamma * d.l2 * t1))
-        assert r.margin >= grid.max() - 1e-14 * abs(r.margin)
+        assert r.margin >= dense_two_mode_max(d, gamma) - 1e-14 * abs(r.margin)
 
     def test_line_beats_the_eps_grid(self):
         data = TestLineCriterion.gaussian_slope(1.0)
         r = line_criterion(data, 1.0)
-        min_slope, (b0, b1, b2) = line_beta(data, 1.0)
-        t1 = bisect_bound_time((b0, b1, b2), 1.0, np.log1p(2.0 / EPS_GRID))
-        grid = (-min_slope) - (1.0 + EPS_GRID) * np.sqrt(
-            b0 + (b1 + b2 * t1) * t1)
-        assert r.margin >= grid.max() - 1e-14 * abs(r.margin)
+        min_slope, beta = line_beta(data, 1.0)
+        assert r.margin >= (dense_line_max(min_slope, beta, 1.0)
+                            - 1e-14 * abs(r.margin))
+
+    @staticmethod
+    def searched(run):
+        """run()'s report and the roots that its searches' brackets gave,
+        None for a bracket that held no sign change."""
+        roots, inner = [], criteria._bracketed_root
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criteria, "_bracketed_root", lambda *args: roots
+                       .append(inner(*args)) or roots[-1])
+            return run(), roots
+
+    @settings(max_examples=15)
+    @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.1, 10.0))
+    def test_two_mode_maximum_is_the_root(self, a, b, gamma):
+        # the margin at the root of its derivative is at least the maximum
+        # over the dense eps grid, (T1, eps) solves the defining equation,
+        # and no bracket falls back to its grid point
+        if a + b == 0.0:
+            return
+        d = two_mode_quantities(a, b)
+        r, roots = self.searched(lambda: characteristics_criterion(d, gamma))
+        assert r.margin >= (dense_two_mode_max(d, gamma)
+                            - 1e-14 * abs(d.min_slope))
+        if r.satisfied:
+            beta = (d.sup_abs, gamma * d.l2, 0.0)
+            assert bound_time_residual(beta, gamma, r) <= 1e-12
+        assert None not in roots
+
+    @settings(max_examples=8)
+    @given(st.floats(-1.0, 2.0), st.floats(0.1, 10.0))
+    def test_line_maximum_is_the_root(self, log_amplitude, gamma):
+        # as above, with beta quadratic in T
+        data = TestLineCriterion.gaussian_slope(10.0 ** log_amplitude)
+        r, roots = self.searched(lambda: line_criterion(data, gamma))
+        min_slope, beta = line_beta(data, gamma)
+        assert r.margin >= (dense_line_max(min_slope, beta, gamma)
+                            - 1e-14 * abs(min_slope))
+        if r.satisfied:
+            assert bound_time_residual(beta, gamma, r) <= 1e-12
+        assert None not in roots
+
+    def test_one_grid_pass(self, monkeypatch):
+        # one vectorised pass of the margin over the log-T grid, then only
+        # scalar evaluations of the margin's derivative: at most the root
+        # finder's cap, its two bracket ends and the reported point
+        grid_passes, scalar = [], []
+        np_expm1, math_expm1 = np.expm1, math.expm1
+        monkeypatch.setattr(np, "expm1", lambda z: grid_passes.append(
+            np.size(z)) or np_expm1(z))
+        monkeypatch.setattr(math, "expm1", lambda z: scalar.append(z)
+                            or math_expm1(z))
+        d = two_mode_quantities(0.1, 0.1)
+        r = characteristics_criterion(d, 1.0)
+        monkeypatch.undo()
+        assert r.satisfied
+        assert grid_passes == [criteria._GRID]
+        assert 3 <= len(scalar) <= criteria._ROOT_CAP + 3
 
     @pytest.mark.parametrize("a, b, margin", [
         (0.025, 0.025, 0.053857527243166281),

@@ -453,6 +453,15 @@ class TestSecantPredictor:
             cold = solve_periodic_wave(s, 1.0, n=512)
             assert np.max(np.abs(w.phi - cold.phi)) < 1e-12
 
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_overshoot_through_zero_keeps_the_gauge(self, n):
+        # the secant in eps through 1.08 and 1.06 overshoots at 1.004 past
+        # a = 0 to about -a, and Newton lands on the wave translated by pi
+        # (a_1 > 0), 0.31 from the cold solve in max norm
+        w = continuation_branch(1.0, [1.08, 1.06, 1.004], n=n)[-1]
+        cold = solve_periodic_wave(1.004, 1.0, n=n)
+        assert np.max(np.abs(w.phi - cold.phi)) < 1e-12
+
     @pytest.mark.parametrize("ratios", [[1.05, 1.05, 1.05, 1.06],
                                         [1.09, 1.06, 1.03, 1.01]],
                              ids=["repeated", "decreasing"])
