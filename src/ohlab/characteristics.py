@@ -207,10 +207,13 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
 
 def write_ensemble_csv(trace: EnsembleTrace, path):
     n_samples, n_xi = trace.x.shape
+    # t and xi repeat down the rows: each value is formatted once
+    times = ["%.17g" % t for t in trace.times.tolist()]
+    xi = ["%.17g" % (j / n_xi) for j in range(n_xi)]
     write_csv(path, "t,xi,X,U,V",
-              [np.repeat(trace.times, n_xi),
-               np.tile(np.arange(n_xi) / n_xi, n_samples), trace.x.ravel(),
-               trace.u.ravel(), trace.v.ravel()])
+              [[t for t in times for _ in xi], xi * n_samples,
+               trace.x.ravel(), trace.u.ravel(), trace.v.ravel()],
+              fmt="%s,%s,%.17g,%.17g,%.17g")
 
 
 def write_rate_products_csv(products: np.ndarray, path):

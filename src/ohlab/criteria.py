@@ -24,6 +24,7 @@ Newton's method on T^2*beta(T).  The same search serves the periodic circle
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,17 +48,27 @@ class CriterionReport:
     epsilon: float | None = None
 
 
+# Python's float ** raises OverflowError where * saturates to inf, so a power
+# whose base lies past these limits is formed from products instead
+_CUBE_ROOT_MAX = sys.float_info.max ** (1.0 / 3.0)
+_TWO_THIRDS_MAX = sys.float_info.max ** (2.0 / 3.0)
+
+
 def hunter_criterion(d: InitialData, gamma: float = 1.0) -> CriterionReport:
     """m^3 > 4M(4+m) with m = -inf u0', M = sup|u0|; breaking before 2/m.
 
     Stated only for gamma = 1; no rescaling to other gamma is attempted, so
-    any other gamma reports unsatisfied with margin -inf.
+    any other gamma reports unsatisfied with margin -inf.  A margin past
+    the float range saturates to +-inf.
     """
     if gamma != 1.0:
         return CriterionReport("hunter", False, -math.inf)
     m = -d.min_slope
     big_m = d.sup_abs
-    margin = m ** 3 - 4.0 * big_m * (4.0 + m)
+    if m < _CUBE_ROOT_MAX:
+        margin = m ** 3 - 4.0 * big_m * (4.0 + m)
+    else:   # m^3 overflows: the same margin as m^3 * (1 - 4M(4 + m)/m^3)
+        margin = (1.0 - 4.0 * (big_m / m) * (1.0 + 4.0 / m) / m) * m * m * m
     sat = margin > 0.0
     return CriterionReport("hunter", sat, float(margin),
                            time_bound=(2.0 / m if sat else None))
@@ -69,8 +80,11 @@ def _check_gamma(gamma: float):
 
 
 def cubic_criterion_one(d: InitialData, gamma: float) -> CriterionReport:
+    """int (u0')^3 < -(3*gamma*||u0||/2)^(3/2); a threshold past the float
+    range saturates to inf, and the margin to -inf."""
     _check_gamma(gamma)
-    thr = (1.5 * gamma * d.l2) ** 1.5
+    base = 1.5 * gamma * d.l2
+    thr = base ** 1.5 if base < _TWO_THIRDS_MAX else base * math.sqrt(base)
     margin = -d.cube - thr
     return CriterionReport("cond1", margin > 0.0, float(margin))
 
@@ -98,12 +112,16 @@ def _bound_time(beta_coeffs, gamma: float, tau: float) -> float:
     convex for T > 0.  Newton starts at the smallest root of the one-term
     equations b_k*T^(k+2) = s^2, which lies at or above the root, so it
     falls monotonically onto it; a step that no longer falls means round-off.
+    A start that underflows to 0, because a coefficient is inf or T lies
+    below the float range, is returned as T = 0.
     """
     _check_gamma(gamma)
     b0, b1, b2 = beta_coeffs
     s = tau / (2.0 * math.sqrt(gamma))
     t = min(s ** (2.0 / (k + 2)) / b ** (1.0 / (k + 2))
             for k, b in enumerate(beta_coeffs) if b > 0.0)
+    if t == 0.0:
+        return t
     for _ in range(_NEWTON_CAP):
         # f/f' with f divided by T: neither T^2 nor s^2 is formed, so tiny
         # or huge data and epsilon neither overflow nor underflow
@@ -163,10 +181,13 @@ def _epsilon_search(name: str, min_slope: float, gamma: float,
 
     Data whose bound term sqrt(gamma*beta(T)) underflows to 0, because every
     coefficient of gamma*beta does (zero or subnormal data), is degenerate:
-    the bound says nothing, so the report is unsatisfied at margin -inf.
+    the bound says nothing, so the report is unsatisfied at margin -inf.  So
+    is data where a coefficient of gamma*beta overflows to inf: the bound
+    term is then inf, and the margin saturates to -inf.
     """
     _check_gamma(gamma)
-    if not any(gamma * b for b in beta_coeffs):
+    scaled = [gamma * b for b in beta_coeffs]
+    if not any(scaled) or math.inf in scaled:
         return CriterionReport(name, False, -math.inf)
     b0, b1, b2 = beta_coeffs
     steepest, root_gamma = -float(min_slope), math.sqrt(gamma)

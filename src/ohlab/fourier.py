@@ -3,6 +3,9 @@
 Everything downstream (time stepping, characteristics, traveling waves)
 manipulates fields through this module: differentiation, exact zero-padding
 between grids and off-grid evaluation of the trigonometric interpolant.
+`PeriodicField.evaluate` sums the interpolant over the powers of one
+complex exponential per point, O(N*top) for N points and top the highest
+kept mode.
 The mean-zero antiderivative is a product with
 `PeriodicGrid.antideriv_multiplier`: mode k != 0 divided by i*2*pi*k/length,
 mode 0 and the Nyquist mode zero; its callers multiply by it themselves.
@@ -136,26 +139,31 @@ class PeriodicField:
             self._coefficients = np.fft.rfft(self._values)
         return self._coefficients
 
-    @property
-    def mean(self) -> float:
-        return float(np.real(self.coefficients[0]) / self.grid.n)
-
     def evaluate(self, points) -> np.ndarray:
-        """Trigonometric interpolant at arbitrary points (vectorized).
+        """Trigonometric interpolant at arbitrary points, flattened to 1-D.
 
-        Modes with negligible coefficients are dropped so the cost tracks the
-        effective bandwidth of the field, not the grid size.
+        Modes with negligible coefficients get weight zero and modes above
+        the highest kept one, top, are not summed, so the cost tracks the
+        effective bandwidth of the field, not the grid size.  The sum runs
+        over the powers z^k, k = 0..top, of z = exp(2*pi*i*x/length): one
+        exp per point and a cumulative product, O(N*top) multiplications
+        for N points.  z^k carries a relative error of order k*eps, the
+        order of the rounding of the phase k*theta in a direct sum.
         """
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float).ravel()
         c = self.coefficients
         active = _kept_modes(c)
         if active.size == 0:
             return np.zeros_like(pts)
-        theta = (2.0 * np.pi / self.grid.length) * pts
-        phases = np.exp(1j * np.outer(theta, active))
-        weights = c[active] / self.grid.n
-        weights[active > 0] *= 2.0  # rfft stores only k >= 0
-        return np.real(phases @ weights)
+        top = active[-1]
+        weights = np.zeros(top + 1, dtype=complex)
+        weights[active] = c[active] / self.grid.n
+        weights[1:] *= 2.0  # rfft stores only k >= 0
+        powers = np.empty((top + 1, pts.size), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = np.exp((2j * np.pi / self.grid.length) * pts)
+        np.cumprod(powers[1:], axis=0, out=powers[1:])
+        return (weights @ powers).real
 
     def __repr__(self):
         return f"PeriodicField(n={self.grid.n}, length={self.grid.length})"

@@ -7,6 +7,7 @@ the quarter-plane a, b >= 0 that the quadrature path must reproduce.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,15 @@ def two_mode_max_slope(a: float, b: float) -> float:
     return 2.0 * np.pi * (a - 2.0 * b)
 
 
+def _two_mode_l2(a: float, b: float) -> float:
+    """sqrt((a^2 + b^2)/2), by hypot where a^2 + b^2 overflows and the norm
+    does not."""
+    squares = a * a + b * b
+    if squares < math.inf:
+        return float(np.sqrt(squares / 2.0))
+    return math.hypot(a, b) / math.sqrt(2.0)
+
+
 def two_mode_quantities(a: float, b: float) -> InitialData:
     """Closed-form scalars for u0 = a cos(2 pi x) + b sin(4 pi x), a, b >= 0."""
     if not (a >= 0 and b >= 0):
@@ -103,7 +113,7 @@ def two_mode_quantities(a: float, b: float) -> InitialData:
         kind="two_mode",
         params={"a": a, "b": b, "fn": fn},
         sup_abs=float(two_mode_max(a, b)),
-        l2=float(np.sqrt((a * a + b * b) / 2.0)),
+        l2=_two_mode_l2(a, b),
         min_slope=-2.0 * np.pi * (a + 2.0 * b),
         max_slope=float(two_mode_max_slope(a, b)),
         cube=-12.0 * np.pi ** 3 * a * a * b,

@@ -5,7 +5,8 @@ import pytest
 
 from ohlab import characteristics
 from ohlab.characteristics import (CharacteristicEnsemble, CoSteppingProvider,
-                                   advance, co_evolve, diffeomorphism_check,
+                                   EnsembleTrace, advance, co_evolve,
+                                   diffeomorphism_check,
                                    rate_products, seed, write_ensemble_csv,
                                    write_rate_products_csv)
 from ohlab.errors import NumericalFailure
@@ -284,6 +285,27 @@ class TestCoEvolvedRun:
             n_rows = sum(1 for _ in fh)
         assert header == "t,xi,X,U,V"
         assert n_rows == trace.x.size
+
+
+def test_ensemble_csv_bytes(tmp_path):
+    # every cell, the repeated t and xi columns too, is %.17g of its float:
+    # xi = 1/3 and 2/3 and t = 0.1*k round-trip only at 17 digits, and 100
+    # samples of 3 rows cross the writer's 256-row batches
+    rng = np.random.default_rng(4)
+    n_samples, n_xi = 100, 3
+    x, u, v = (rng.standard_normal((n_samples, n_xi)) for _ in range(3))
+    trace = EnsembleTrace(times=0.1 * np.arange(n_samples), x=x, u=u, v=v,
+                          consistency=np.zeros(n_samples),
+                          min_v=v.min(axis=1),
+                          diffeo=np.ones(n_samples, dtype=bool))
+    p = tmp_path / "ens.csv"
+    write_ensemble_csv(trace, p)
+    columns = (np.repeat(trace.times, n_xi),
+               np.tile(np.arange(n_xi) / n_xi, n_samples),
+               x.ravel(), u.ravel(), v.ravel())
+    expect = "t,xi,X,U,V\n" + "".join(
+        ",".join("%.17g" % c for c in row) + "\n" for row in zip(*columns))
+    assert p.read_bytes() == expect.encode()
 
 
 class TestMatchesSimulate:

@@ -384,6 +384,21 @@ class TestCriteriaCommand:
         assert code == 0
         assert (tmp_path / "envout" / "summary.json").exists()
 
+    @pytest.mark.parametrize("argv, charac", [
+        (["--a", "1e102", "--b", "0"], True),
+        (["--a", "1", "--b", "1", "--gamma", "1e300"], False),
+        (["--a", "1e155", "--b", "0"], True)])
+    def test_data_past_the_float_range(self, tmp_path, capsys, argv, charac):
+        # each raised OverflowError from a power in a margin; hunter's
+        # margin saturates to inf (or is -inf off gamma = 1), written as null
+        code, out, _ = run_cli(["criteria", *argv, "--output-dir",
+                                str(tmp_path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload == json.loads((tmp_path / "summary.json").read_text())
+        assert payload["hunter"]["margin"] is None
+        assert payload["charac"]["satisfied"] is charac
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         d1, d2 = tmp_path / "one", tmp_path / "two"
         run_cli(["criteria", "--a", "0.07", "--b", "0.01",

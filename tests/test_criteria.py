@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,6 +154,62 @@ class TestHunter:
     def test_zero_data(self):
         r = hunter_criterion(two_mode_quantities(0.0, 0.0))
         assert not r.satisfied and r.margin == 0.0
+
+
+class TestFloatRange:
+    """Criteria whose margins or bound times leave the float range
+    saturate as float64 arithmetic does, and raise nothing."""
+
+    @pytest.mark.parametrize("a", [1e102, 1e155, 1e300])
+    def test_hunter_margin_saturates_to_inf(self, a):
+        # m^3 overflows from a = 9.0e101, and 4M(4 + m) too from a = 2.7e153
+        d = two_mode_quantities(a, 0.0)
+        r = hunter_criterion(d)
+        assert r.margin == math.inf and r.satisfied
+        assert r.time_bound == 2.0 / -d.min_slope
+
+    @pytest.mark.parametrize("sup_abs", [1e204, 7.8e204, 7.9e204, 1e205])
+    def test_hunter_margin_past_the_cube_limit(self, sup_abs):
+        # m^3 is past the float range and 4M(4 + m) nearly cancels it: the
+        # margin is the exact one, rounded, or saturated where it overflows
+        d = dataclasses.replace(two_mode_quantities(1.0, 0.0),
+                                min_slope=-6e102, sup_abs=sup_abs)
+        m, big_m = Fraction(6e102), Fraction(sup_abs)
+        exact = m ** 3 - 4 * big_m * (4 + m)
+        margin = hunter_criterion(d).margin
+        if abs(exact) > Fraction(np.finfo(float).max):
+            assert margin == (math.inf if exact > 0 else -math.inf)
+        else:
+            assert abs(Fraction(margin) - exact) <= 1e-14 * abs(exact)
+
+    def test_cond1_threshold_saturates(self):
+        r = cubic_criterion_one(two_mode_quantities(1.0, 1.0), 1e300)
+        assert r == CriterionReport("cond1", False, -math.inf)
+
+    @pytest.mark.parametrize("a", [1e155, 1e200, 1e300])
+    def test_charac_past_the_squares_overflow(self, a):
+        # a^2 overflows from a = 1.4e154; l2 did too, and the bound time's
+        # start then underflowed to 0 and divided by it
+        d = two_mode_quantities(a, 0.0)
+        assert d.l2 == pytest.approx(a / math.sqrt(2.0), rel=1e-15)
+        r = characteristics_criterion(d, 1.0)
+        assert r.satisfied and r.margin == pytest.approx(-d.min_slope,
+                                                         rel=1e-12)
+        assert hunter_criterion(d).satisfied
+
+    @pytest.mark.parametrize("d, gamma", [
+        (dataclasses.replace(two_mode_quantities(1.0, 0.0), l2=math.inf), 1.0),
+        (two_mode_quantities(1e10, 0.0), 1e300)])
+    def test_charac_with_an_infinite_bound_term(self, d, gamma):
+        # a coefficient of gamma*beta is inf, and so is the bound term
+        r = characteristics_criterion(d, gamma)
+        assert r == CriterionReport("charac", False, -math.inf)
+
+    @pytest.mark.parametrize("sup_abs, l2, eps", [(1.0, math.inf, 2.0),
+                                                   (1e300, 1.0, 1e300)])
+    def test_bound_time_below_the_float_range_is_zero(self, sup_abs, l2,
+                                                      eps):
+        assert find_t1(sup_abs, l2, 1.0, eps) == 0.0
 
 
 class TestCubicConditions:

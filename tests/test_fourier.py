@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ohlab.fourier import (PeriodicField, PeriodicGrid, band_tail,
-                           field_diagnostics, padded_samples,
+from ohlab.fourier import (PeriodicField, PeriodicGrid, _kept_modes,
+                           band_tail, field_diagnostics, padded_samples,
                            parabolic_minmax, quartic_minmax,
                            resize_coefficients, spectral_derivative)
 
@@ -49,7 +49,8 @@ class TestTransforms:
     def test_mean_is_mode_zero(self):
         g = grid()
         f = PeriodicField.from_function(g, lambda x: 1.5 + np.cos(TWO_PI * x))
-        assert f.mean == pytest.approx(np.mean(f.values), abs=1e-14)
+        assert f.coefficients[0] / g.n == pytest.approx(np.mean(f.values),
+                                                        abs=1e-14)
 
     def test_constructor_wants_exactly_one_representation(self):
         g = grid(8)
@@ -123,6 +124,110 @@ class TestDerivative:
         pts = np.random.default_rng(12).uniform(-1.0, 2.0, 256)
         assert np.max(np.abs(d.evaluate(pts)
                              + TWO_PI * np.sin(TWO_PI * pts))) < 1e-13
+
+
+def direct_sum(f, points):
+    """The interpolant at points as a direct sum over the kept modes, one
+    complex exponential per (point, mode), and the sum of |weight| that
+    bounds it."""
+    c, n = f.coefficients, f.grid.n
+    active = _kept_modes(c)
+    theta = (TWO_PI / f.grid.length) * np.ravel(points)
+    weights = c[active] / n
+    weights[active > 0] *= 2.0
+    return (np.real(np.exp(1j * np.outer(theta, active)) @ weights),
+            float(np.sum(np.abs(weights))))
+
+
+def analytic_spectrum(n, rng, top_level=1e-13):
+    """Random modes 0..n/2-1 under a geometric envelope that reaches
+    top_level at mode n/2-1, the spectrum of an analytic field; the Nyquist
+    mode is zero."""
+    top = n // 2 - 1
+    k = np.arange(n // 2 + 1)
+    c = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) \
+        * top_level ** (k / top) * n
+    c[0] = c[0].real
+    c[-1] = 0.0
+    return c
+
+
+class TestEvaluateByPhasePowers:
+    """evaluate sums over powers of exp(2*pi*i*x/L) what the direct sum
+    takes one exponential per (point, mode) for; the two agree to round-off
+    of the sum of |weight|."""
+
+    @pytest.mark.parametrize("n", [8, 256, 4096])
+    def test_every_mode_kept(self, n):
+        rng = np.random.default_rng(n)
+        f = PeriodicField(grid(n), coefficients=analytic_spectrum(n, rng))
+        assert _kept_modes(f.coefficients).size == n // 2
+        pts = rng.uniform(0.0, 1.0, 300)
+        ref, scale = direct_sum(f, pts)
+        assert np.max(np.abs(f.evaluate(pts) - ref)) <= 1e-14 * scale
+
+    def test_unwrapped_points(self):
+        rng = np.random.default_rng(5)
+        f = PeriodicField(grid(256, length=2.0),
+                          coefficients=analytic_spectrum(256, rng))
+        pts = rng.uniform(-3.0, 4.0, 300)
+        ref, scale = direct_sum(f, pts)
+        assert np.max(np.abs(f.evaluate(pts) - ref)) <= 1e-14 * scale
+        assert np.max(np.abs(f.evaluate(pts) - f.evaluate(pts % 2.0))) \
+            <= 1e-14 * scale
+
+    def test_flat_spectrum_error_grows_like_k_eps(self):
+        # every mode at unit size and points up to 4 periods out: both sums
+        # are off by the rounding of the phases k*theta, or of z^k after k
+        # products, of order k*eps per mode
+        n = 4096
+        rng = np.random.default_rng(3)
+        c = (rng.standard_normal(n // 2 + 1)
+             + 1j * rng.standard_normal(n // 2 + 1)) * n
+        c[0] = c[0].real
+        c[-1] = 0.0
+        f = PeriodicField(grid(n), coefficients=c)
+        pts = rng.uniform(-3.0, 4.0, 200)
+        ref, _ = direct_sum(f, pts)
+        k = np.arange(n // 2)
+        w = np.abs(c[:-1]) / n * np.where(k > 0, 2.0, 1.0)
+        theta = TWO_PI * np.max(np.abs(pts))
+        bound = np.finfo(float).eps * np.sum(w * (1.0 + k * theta))
+        assert np.max(np.abs(f.evaluate(pts) - ref)) <= bound
+
+    def test_spectrum_with_gaps(self):
+        n = 512
+        c = np.zeros(n // 2 + 1, dtype=complex)
+        c[[0, 3, 7, 40, 200]] = np.array([0.3, 1 - 2j, 0.5j, -0.25, 1e-9]) * n
+        c[100] = 1e-17 * n   # below the drop level: weight zero
+        f = PeriodicField(grid(n), coefficients=c)
+        assert list(_kept_modes(c)) == [0, 3, 7, 40, 200]
+        pts = np.random.default_rng(9).uniform(-1.0, 2.0, 257)
+        ref, scale = direct_sum(f, pts)
+        assert np.max(np.abs(f.evaluate(pts) - ref)) <= 1e-14 * scale
+
+    def test_zero_field(self):
+        f = PeriodicField(grid(64), values=np.zeros(64))
+        out = f.evaluate(np.linspace(-1.0, 2.0, 12).reshape(3, 4))
+        assert out.shape == (12,) and not out.any()
+
+    def test_mode_zero_only(self):
+        # top = 0: the product over the modes above 0 is empty
+        f = PeriodicField(grid(16), values=np.full(16, 2.5))
+        pts = np.linspace(-3.0, 4.0, 9)
+        assert np.array_equal(f.evaluate(pts), np.full(9, 2.5))
+        ref, scale = direct_sum(f, pts)
+        assert np.max(np.abs(f.evaluate(pts) - ref)) <= 1e-14 * scale
+
+    def test_two_dimensional_points(self):
+        rng = np.random.default_rng(2)
+        f = band_limited(grid(128), rng, k_max=12)
+        pts = rng.uniform(-1.0, 2.0, (5, 7))
+        out = f.evaluate(pts)
+        assert out.shape == (35,)
+        assert np.array_equal(out, f.evaluate(pts.ravel()))
+        ref, scale = direct_sum(f, pts)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * scale
 
 
 def antiderivative(f):
