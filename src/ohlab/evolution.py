@@ -65,7 +65,7 @@ import numpy as np
 from .errors import NumericalFailure
 from .fourier import (ROUNDOFF_TAIL, PeriodicField, PeriodicGrid,
                       band_tail, field_diagnostics, padded_samples,
-                      resize_coefficients)
+                      resize_coefficients, resolving_grid)
 from .initial import InitialData
 from .tables import write_csv
 
@@ -251,9 +251,7 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
     Yielded arrays are never modified afterwards.  Raises NumericalFailure
     at the first step whose coefficients are not all finite.
     """
-    m = min(_BASE, grid.n)
-    while m < grid.n and band_tail(coeffs, m) > ROUNDOFF_TAIL:
-        m *= 2
+    m = resolving_grid(coeffs, min(_BASE, grid.n), grid.n)
 
     def climb(coeffs, m):
         out = resize_coefficients(coeffs, m)

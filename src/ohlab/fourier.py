@@ -16,8 +16,9 @@ data all read it.  It reads u from `padded_samples`, the 3n/2-point samples
 that the solver's march takes once per state, squares for the tendency and
 hands to a sample, and samples u_x on a 4n grid.  `band_tail` is the one
 measure of how well a grid resolves a spectrum: the grid ladders of the
-march and of the Newton wave solve, the march's lost-front stop and the
-`"tail"` of a wave's summary all read it.
+march and of the Newton wave solve (which both start on `resolving_grid`),
+the march's lost-front stop and the `"tail"` of a wave's summary all read
+it.
 """
 from __future__ import annotations
 
@@ -96,6 +97,14 @@ def band_tail(coeffs: np.ndarray, m: int) -> float:
     mags = np.abs(coeffs)
     peak = mags.max()
     return float(mags[7 * m // 16:].max() / peak) if peak > 0 else 0.0
+
+
+def resolving_grid(coeffs: np.ndarray, m: int, n: int) -> int:
+    """The first of m, 2m, 4m, ... that is n or more or whose `band_tail`
+    of coeffs is at round-off: the start rung of a grid ladder below n."""
+    while m < n and band_tail(coeffs, m) > ROUNDOFF_TAIL:
+        m *= 2
+    return m
 
 
 class PeriodicField:

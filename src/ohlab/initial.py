@@ -101,6 +101,15 @@ def _two_mode_l2(a: float, b: float) -> float:
     return math.hypot(a, b) / math.sqrt(2.0)
 
 
+def _two_mode_cube(a: float, b: float) -> float:
+    """-12 pi^3 a^2 b, the integral of u0'^3; where a * a overflows, as
+    -12 pi^3 (a (a b)), which overflows only with the cube itself."""
+    cube = -12.0 * np.pi ** 3 * a * a * b
+    if math.isfinite(cube):
+        return cube
+    return -12.0 * np.pi ** 3 * (a * (a * b))
+
+
 def two_mode_quantities(a: float, b: float) -> InitialData:
     """Closed-form scalars for u0 = a cos(2 pi x) + b sin(4 pi x), a, b >= 0."""
     if not (a >= 0 and b >= 0):
@@ -116,7 +125,7 @@ def two_mode_quantities(a: float, b: float) -> InitialData:
         l2=_two_mode_l2(a, b),
         min_slope=-2.0 * np.pi * (a + 2.0 * b),
         max_slope=float(two_mode_max_slope(a, b)),
-        cube=-12.0 * np.pi ** 3 * a * a * b,
+        cube=_two_mode_cube(a, b),
     )
 
 

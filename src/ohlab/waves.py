@@ -25,18 +25,23 @@ zero-padded coarse solution, so every wave meets the Galerkin tolerance on
 n and is judged there.  A solve that fails on any grid of its ladder
 raises `NoConvergence`; the one retry is a branch's step in s, bisected
 when the secant start misses (see `_continue_to`).
+
+A Newton step costs little more than its dense solve and its FFTs: the
+Jacobian is assembled in place from one strided view over the modes, and
+the solver of each grid, which keeps no state between solves, is built on
+demand once (`_solver`) and shared by every solve on that grid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view as windows
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NoConvergence
-from .fourier import ROUNDOFF_TAIL, band_tail
+from .fourier import ROUNDOFF_TAIL, band_tail, resolving_grid
 from .tables import write_csv
 
 CREST_SPEED_RATIO = math.pi ** 2 / 9.0
@@ -136,12 +141,13 @@ class _NormalizedSolver:
         J[j,k] = (j^2/2)(a_|k-j| + a_(k+j)) + delta_jk (1 - s k^2),
     with a_0 = 0 and a_p = 0 for p > K: exact, because the residual's
     modes above K are dropped by the projection, not aliased into it.
-    One window view over the a_|p| assembles it in O(K^2), on no grid.
+    One strided view over the a_|p|, read-only, assembles it in O(K^2), on
+    no grid.
 
-    The ladder of `_checked_solve` builds a solver for each coarse grid m
-    it visits, since one is a few arrays: the leading m/2 - 1 modes of a
-    start on n are a start on m, and a solution on m, zero-padded, is a
-    start on n.
+    A solver keeps no state between calls, so `_solver` builds one per grid
+    on demand and every solve on that grid reuses it: the leading m/2 - 1
+    modes of a start on n are a start on the coarse grid m, and a solution
+    on m, zero-padded, is a start on n.
     """
 
     def __init__(self, n: int = 256):
@@ -153,8 +159,9 @@ class _NormalizedSolver:
 
     def _fields(self, a: np.ndarray) -> np.ndarray:
         """psi, psi', psi'' on the m grid, as the rows of a (3, m) array."""
-        spec = self.synth * a                  # modes 1..K; mode 0 is zero
-        return np.fft.irfft(np.hstack((np.zeros((3, 1)), spec)), 2 * self.n)
+        spec = np.zeros((3, len(a) + 1), dtype=complex)   # mode 0 is zero
+        np.multiply(self.synth, a, out=spec[:, 1:])
+        return np.fft.irfft(spec, 2 * self.n)
 
     def residual(self, a: np.ndarray, s: float):
         psi, dpsi, d2psi = self._fields(a)
@@ -166,10 +173,13 @@ class _NormalizedSolver:
         kmax, k2 = len(a), self.k * self.k
         # row i of w holds a_|p| from p = i - K: a_|k-j| at row K - j + 1,
         # a_(k+j) at row K + j + 1, column k - 1
-        w = windows(np.concatenate((a[::-1], [0.0], a, np.zeros(kmax))),
-                    kmax)
-        jac = (0.5 * k2)[:, None] * (w[kmax:0:-1] + w[kmax + 2:])
-        jac[np.diag_indices(kmax)] += 1.0 - s * k2
+        line = np.concatenate((a[::-1], [0.0], a, np.zeros(kmax)))
+        stride = line.strides[0]
+        w = as_strided(line, (2 * kmax + 2, kmax), (stride, stride),
+                       writeable=False)
+        jac = w[kmax:0:-1] + w[kmax + 2:]
+        jac *= (0.5 * k2)[:, None]
+        jac.flat[::kmax + 1] += 1.0 - s * k2
         return jac
 
     def solve(self, a: np.ndarray, s: float):
@@ -185,7 +195,7 @@ class _NormalizedSolver:
         r, point_norm = self.residual(a, s)
         norms = []
         for it in range(_NEWTON_MAX_ITER + 1):
-            norm0 = np.linalg.norm(r)
+            norm0 = math.sqrt(r @ r)
             if norm0 < _NEWTON_TOL:
                 return a, point_norm
             if it == _NEWTON_MAX_ITER:
@@ -196,18 +206,26 @@ class _NormalizedSolver:
                 raise NoConvergence(f"Newton iteration stalled at s={s}")
             norms.append(norm0)
             delta = np.linalg.solve(self.jacobian(a, s), -r)
-            for step in 0.5 ** np.arange(20):
+            step = 1.0
+            for _ in range(20):
                 trial = a + step * delta
                 r_trial, pn_trial = self.residual(trial, s)
-                if np.linalg.norm(r_trial) < norm0:
+                if math.sqrt(r_trial @ r_trial) < norm0:
                     a, r, point_norm = trial, r_trial, pn_trial
                     break
+                step *= 0.5
             else:
                 raise NoConvergence(f"step halving exhausted at s={s}")
 
     def profile(self, a: np.ndarray, s: float, gamma: float) -> WaveProfile:
         psi = self._fields(a)[0][::2]          # the n grid: every other point
         return WaveProfile(_grid(self.n), gamma * psi, s * gamma, gamma)
+
+
+@lru_cache(maxsize=16)   # a ladder to n = 2^17 visits 12 grids
+def _solver(n: int) -> _NormalizedSolver:
+    """The solver on n points, built on first use and then shared."""
+    return _NormalizedSolver(n)
 
 
 def _eps(s: float) -> float:
@@ -222,17 +240,15 @@ def _coarse_start(n: int, a: np.ndarray, s: float) -> np.ndarray:
     round-off, then on the next m from that solution, zero-padded, until a
     solution's own tail is at round-off; a start on no coarse grid is a
     itself."""
-    def resolved(a, m):   # a holds modes 1..K; band_tail indexes from 0
-        return band_tail(np.concatenate(([0.0], a)), m) <= ROUNDOFF_TAIL
+    def by_wavenumber(a):   # a holds modes 1..K; band_tail indexes from 0
+        return np.concatenate(([0.0], a))
 
-    m = _BASE
-    while m < n and not resolved(a, m):
-        m *= 2
+    m = resolving_grid(by_wavenumber(a), _BASE, n)
     while m < n:
-        coarse, _ = _NormalizedSolver(m).solve(a[:m // 2 - 1], s)
+        coarse, _ = _solver(m).solve(a[:m // 2 - 1], s)
         a = np.zeros(len(a))
         a[:len(coarse)] = coarse
-        if resolved(a, m):
+        if band_tail(by_wavenumber(a), m) <= ROUNDOFF_TAIL:
             return a
         m *= 2
     return a
@@ -327,7 +343,7 @@ def solve_periodic_wave(c: float, gamma: float,
     small-amplitude expansion; a solve that fails raises `NoConvergence`."""
     s = c / gamma if gamma > 0 else math.nan
     _check_inputs(gamma, n, [s])
-    solver = _NormalizedSolver(n)
+    solver = _solver(n)
     return solver.profile(_cold_solve(solver, s), s, gamma)
 
 
@@ -340,7 +356,7 @@ def continuation_branch(gamma: float, speed_ratios, n: int = 512):
     (`_continue_to`)."""
     ratios = list(speed_ratios)
     _check_inputs(gamma, n, ratios)
-    solver = _NormalizedSolver(n)
+    solver = _solver(n)
     a = _cold_solve(solver, ratios[0])
     back, last = (1.0, 0.0), (ratios[0], a)
     out = [solver.profile(a, ratios[0], gamma)]

@@ -399,6 +399,15 @@ class TestCriteriaCommand:
         assert payload["hunter"]["margin"] is None
         assert payload["charac"]["satisfied"] is charac
 
+    def test_cube_where_a_squared_overflows(self, tmp_path, capsys):
+        # -12 pi^3 a a b read nan (inf * 0), written as null; the cube of a
+        # single cosine is -0.0 at every a
+        code, out, _ = run_cli(["criteria", "--a", "1e155", "--b", "0",
+                                "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        cube = json.loads(out)["scalars"]["cube"]
+        assert cube == 0.0 and math.copysign(1.0, cube) == -1.0
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         d1, d2 = tmp_path / "one", tmp_path / "two"
         run_cli(["criteria", "--a", "0.07", "--b", "0.01",

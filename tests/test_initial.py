@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +47,23 @@ class TestClosedForms:
     def test_cube_closed_form(self):
         d = two_mode_quantities(1.0, 1.0)
         assert d.cube == pytest.approx(-12 * np.pi ** 3, rel=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(1e155, 0.0), (1e200, 1e-200),
+                                      (1e300, 1e-300), (1e200, 1e-250)])
+    def test_cube_where_a_squared_overflows(self, a, b):
+        # a * a overflows from a = 1.3e154: the cube read nan at b = 0 and
+        # -inf at the others, whose cube is finite
+        exact = Fraction(-12.0 * np.pi ** 3) * Fraction(a) ** 2 * Fraction(b)
+        cube = two_mode_quantities(a, b).cube
+        assert math.isfinite(cube)
+        assert abs(Fraction(cube) - exact) <= 1e-15 * abs(exact)
+
+    def test_cube_past_the_float_range_saturates(self):
+        assert two_mode_quantities(1e300, 1e300).cube == -math.inf
+
+    @given(params, params)
+    def test_cube_in_range_is_todays_product(self, a, b):
+        assert two_mode_quantities(a, b).cube == -12.0 * np.pi ** 3 * a * a * b
 
     def test_rejects_negative_parameters(self):
         with pytest.raises(ValueError, match="assume a, b >= 0"):

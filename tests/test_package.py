@@ -1,10 +1,10 @@
 """Static checks on the package source: exports that resolve and have a
-caller, no stale imports, one sampling loop, one report path and no
-exception class that nothing catches.  The first three are what a deletion
-leaves behind, the next two what a second copy of a loop or of an emitter
-brings back, and the last a bespoke class for what is a plain ValueError,
-so they are checked here with the standard library's `ast` rather than an
-external linter."""
+caller, no stale imports, one sampling loop, one Newton path, one report
+path and no exception class that nothing catches.  The first three are what
+a deletion leaves behind, the next three what a second copy of a loop, a
+solver or an emitter brings back, and the last a bespoke class for what is
+a plain ValueError, so they are checked here with the standard library's
+`ast` rather than an external linter."""
 import ast
 from pathlib import Path
 
@@ -141,6 +141,38 @@ def test_one_retry_in_waves():
                 and any(isinstance(sub, ast.ExceptHandler)
                         for sub in ast.walk(node))}
     assert len(handlers) == 1 and retrying == {"_continue_to"}
+
+
+def linalg_calls(tree, owner=""):
+    """(qualified name of the def that makes it, full attribute chain) of
+    each call of a `linalg.solve` or `linalg.inv`; a method such as
+    `solver.solve` is not one."""
+    calls = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            calls += linalg_calls(node, f"{owner}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                ("linalg.solve", "linalg.inv")):
+            calls.append((owner, ast.unparse(node.func)))
+        calls += linalg_calls(node, owner)
+    return calls
+
+
+def test_one_newton_path():
+    # the Newton step of `waves` is the one dense linear solve; a second
+    # one is a second Newton path, such as a chord or an inverse route
+    assert [call for p in SOURCES for call in linalg_calls(
+        ast.parse(p.read_text(), filename=str(p)))] \
+        == [("_NormalizedSolver.solve", "np.linalg.solve")]
+
+
+def test_linalg_calls_are_found():
+    tree = ast.parse("class S:\n def solve(self):\n  np.linalg.solve(a, b)\n"
+                     "  solver.solve(a)\n  np.linalg.norm(a)\n"
+                     "def f():\n def g():\n  return numpy.linalg.inv(a)\n")
+    assert linalg_calls(tree) == [("S.solve", "np.linalg.solve"),
+                                  ("f.g", "numpy.linalg.inv")]
 
 
 def test_call_sites_are_counted():

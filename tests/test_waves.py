@@ -347,6 +347,65 @@ def branch():
     return continuation_branch(1.0, head + tail, n=512)
 
 
+def window_jacobian(solver, a, s):
+    """The Jacobian assembled from numpy's sliding windows over the a_|p|,
+    scaled into a new array: the assembly that the strided view replaced."""
+    kmax, k2 = len(a), solver.k * solver.k
+    w = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((a[::-1], [0.0], a, np.zeros(kmax))), kmax)
+    jac = (0.5 * k2)[:, None] * (w[kmax:0:-1] + w[kmax + 2:])
+    jac[np.diag_indices(kmax)] += 1.0 - s * k2
+    return jac
+
+
+def stacked_fields(solver, a):
+    """psi, psi', psi'' from the spectrum with its zero mode stacked on."""
+    spec = solver.synth * a
+    return np.fft.irfft(np.hstack((np.zeros((3, 1)), spec)), 2 * solver.n)
+
+
+class TestKernelsMatchTheirReferences:
+    S = 1.09
+
+    @pytest.mark.parametrize("n", [6, 64, 512])
+    @pytest.mark.parametrize("start", ["branch", "random"])
+    def test_bitwise_equal(self, n, start):
+        solver = _NormalizedSolver(n)
+        a = (_cold_solve(solver, self.S) if start == "branch" else
+             np.random.default_rng(n).standard_normal(len(solver.k)))
+        jac, fields = solver.jacobian(a, self.S), solver._fields(a)
+        assert jac.flags.writeable and jac.flags.c_contiguous
+        assert jac.tobytes() == window_jacobian(solver, a, self.S).tobytes()
+        assert fields.tobytes() == stacked_fields(solver, a).tobytes()
+
+    def test_reused_solver_matches_fresh_ones(self):
+        # a solver keeps no state between solves, and a later solve does
+        # not write into what an earlier one returned
+        reused = _NormalizedSolver(512)
+        starts = [(_expansion_modes(s, 512), s) for s in (1.03, 1.06)]
+        first = reused.solve(*starts[0])
+        kept = first[0].copy()
+        second = reused.solve(*starts[1])
+        for got, (a, s) in zip((first, second), starts):
+            fresh = _NormalizedSolver(512).solve(a, s)
+            assert got[0].tobytes() == fresh[0].tobytes()
+            assert got[1] == fresh[1]
+        assert first[0].tobytes() == kept.tobytes()
+
+    def test_shared_solvers_give_the_same_branch(self):
+        # every grid's solver is built once; a branch run on solvers that
+        # earlier runs used equals one run on new ones
+        ratios = [1.01, 1.05, 1.09]
+        waves._solver.cache_clear()
+        fresh = continuation_branch(1.0, ratios, n=512)
+        solvers = {m: waves._solver(m) for m in (64, 128, 256, 512)}
+        again = continuation_branch(1.0, ratios, n=512)
+        assert all(waves._solver(m) is solver
+                   for m, solver in solvers.items())
+        for w, ref in zip(again, fresh):
+            assert w.phi.tobytes() == ref.phi.tobytes()
+
+
 class TestContinuationBranch:
     def test_amplitude_monotone(self, branch):
         amps = [w.amplitude for w in branch]
