@@ -62,7 +62,7 @@ class TestClosedForms:
         assert two_mode_quantities(1e300, 1e300).cube == -math.inf
 
     @given(params, params)
-    def test_cube_in_range_is_todays_product(self, a, b):
+    def test_cube_in_range_is_the_plain_product(self, a, b):
         assert two_mode_quantities(a, b).cube == -12.0 * np.pi ** 3 * a * a * b
 
     def test_rejects_negative_parameters(self):
