@@ -8,15 +8,16 @@ unwrapped: the trigonometric interpolant is periodic anyway, and unwrapped
 positions are what make the monotonicity-in-xi diagnostic meaningful.
 
 The PDE behind the ensemble is `evolution.simulate`'s own march, and the
-ensemble is its rider: `co_evolve` is `simulate` with an `EnsembleRider`,
-which is told of every PDE step, steps the ensemble over it, asks for a
-sample when min V first reaches stop_slope, and lets the verdict judge the
-steeper of min V and the grid's min u_x.  So the ensemble takes the steps
-of `simulate`, on the same grid ladder and at the same lengths, sized by
-the flow and the linear waves, and shares its sampling, verdict and
-record.  The ensemble's mid-step RK4 stages take G from the cubic Hermite
-interpolant of the step's two ends (Hairer, Norsett & Wanner, Solving ODEs
-I, II.6), fourth-order in the step length like the RK4 step.
+ensemble is its rider: `co_evolve` is `simulate` with a
+`CoSteppingProvider`, which is told of every PDE step, forms G over it,
+steps the ensemble across it, asks for a sample when min V first reaches
+stop_slope, and lets the verdict judge the steeper of min V and the grid's
+min u_x.  So the ensemble takes the steps of `simulate`, on the same grid
+ladder and at the same lengths, sized by the flow and the linear waves,
+and shares its sampling, verdict and record.  The ensemble's mid-step RK4
+stages take G from the cubic Hermite interpolant of the step's two ends
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6), fourth-order in the step
+length like the RK4 step.
 """
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import evolution
 from .errors import NumericalFailure
-from .evolution import (BlowupEstimate, SimulationConfig, SimulationRecord,
-                        simulate)
+from .evolution import BlowupEstimate, SimulationConfig, SimulationRecord
 from .fourier import (PeriodicField, PeriodicGrid, parabolic_minmax,
                       resize_coefficients, spectral_derivative)
 from .tables import write_csv
@@ -52,25 +53,32 @@ def seed(u0: PeriodicField, n_xi: int) -> CharacteristicEnsemble:
 
 
 class CoSteppingProvider:
-    """Supplies u and G = dx^-1 u over one PDE step at a time, fed the steps
-    of a march.
+    """`simulate`'s rider: a characteristic ensemble seeded from the
+    config's datum, and u and G = dx^-1 u over one PDE step at a time, fed
+    the steps of the march.
 
     After `advance_to(i, t, h, coeffs, rung, tendency)`, `u` is the state
-    after step i, labelled t, `h` is the step's length, and `g` holds G at
-    the start, the midpoint and the end of step i, on the rung of its end.
-    The midpoint is the cubic Hermite interpolant of the ends, (g0 + g1)/2 +
+    after step i, labelled t, `h` is the step's length, `g` holds G at the
+    start, the midpoint and the end of step i, on the rung of its end, and
+    for i > 0 the ensemble has taken one RK4 step over it (`advance`).  The
+    midpoint is the cubic Hermite interpolant of the ends, (g0 + g1)/2 +
     h/8 (g0' - g1') with g' = dx^-1 u_t; a rung climb inside the step first
     zero-pads the start, which is exact.  The march pins mode 0, so G and g'
     are its coefficients and its tendency times the antiderivative
-    multiplier.  At step 0 all three are G of the initial state.
+    multiplier.  At step 0 all three are G of the initial state.  Each
+    sample adds a row to the trace and returns the polished min V.
     """
 
-    def __init__(self, gamma: float):
-        self.gamma = gamma
+    def __init__(self, config: SimulationConfig, n_xi: int):
+        self.gamma = config.gamma
+        self.ens = seed(config.initial.sample(PeriodicGrid(config.n)), n_xi)
+        self.stop_slope = config.stop_slope
+        self.rows = []
 
     def advance_to(self, i: int, t: float, h: float, coeffs: np.ndarray,
-                   rung: PeriodicGrid, tendency: np.ndarray):
-        """Take march step i, given as the first six fields `march` yields."""
+                   rung: PeriodicGrid, tendency: np.ndarray) -> bool:
+        """Take march step i, given as the first six fields `march` yields;
+        true when min V has reached stop_slope."""
         self.t, self.h = t, h
         self.u = PeriodicField(rung, coefficients=coeffs)
         a = rung.antideriv_multiplier
@@ -81,6 +89,24 @@ class CoSteppingProvider:
         mid = 0.5 * (g0 + g1) + (0.125 * h) * (d0 - d1)
         self.g = [PeriodicField(rung, coefficients=c) for c in (g0, mid, g1)]
         self._end = g1, d1
+        if i > 0:
+            self.ens = advance(self.ens, self)
+        return bool(np.min(self.ens.v) <= self.stop_slope)
+
+    def sample(self, t: float) -> float:
+        ens, u = self.ens, self.u
+        vmin = parabolic_minmax(ens.v)[0]
+        self.rows.append((t, ens.x, ens.u, ens.v,
+                          float(np.max(np.abs(ens.u - u.evaluate(ens.x)))),
+                          vmin, diffeomorphism_check(ens)))
+        return vmin
+
+    def trace(self) -> EnsembleTrace:
+        times, x, u, v, consistency, min_v, diffeo = map(np.array,
+                                                         zip(*self.rows))
+        return EnsembleTrace(times=times, x=x, u=u, v=v,
+                             consistency=consistency, min_v=min_v,
+                             diffeo=diffeo)
 
 
 def advance(ens: CharacteristicEnsemble,
@@ -140,44 +166,11 @@ class EnsembleTrace:
     diffeo: np.ndarray        # boolean per sample
 
 
-class EnsembleRider:
-    """A characteristic ensemble riding `simulate`'s march: each PDE step is
-    fed to a `CoSteppingProvider`, and the ensemble takes one RK4 step over
-    it.  A step asks for a sample when min V reaches stop_slope, and each
-    sample adds a row to the trace and returns the polished min V."""
-
-    def __init__(self, config: SimulationConfig, n_xi: int):
-        self.provider = CoSteppingProvider(config.gamma)
-        self.ens = seed(config.initial.sample(PeriodicGrid(config.n)), n_xi)
-        self.stop_slope = config.stop_slope
-        self.rows = []
-
-    def advance_to(self, i, t, h, coeffs, rung, tendency) -> bool:
-        self.provider.advance_to(i, t, h, coeffs, rung, tendency)
-        if i > 0:
-            self.ens = advance(self.ens, self.provider)
-        return bool(np.min(self.ens.v) <= self.stop_slope)
-
-    def sample(self, t: float) -> float:
-        ens, u = self.ens, self.provider.u
-        vmin = parabolic_minmax(ens.v)[0]
-        self.rows.append((t, ens.x, ens.u, ens.v,
-                          float(np.max(np.abs(ens.u - u.evaluate(ens.x)))),
-                          vmin, diffeomorphism_check(ens)))
-        return vmin
-
-    def trace(self) -> EnsembleTrace:
-        times, x, u, v, consistency, min_v, diffeo = map(np.array,
-                                                         zip(*self.rows))
-        return EnsembleTrace(times=times, x=x, u=u, v=v,
-                             consistency=consistency, min_v=min_v,
-                             diffeo=diffeo)
-
-
 def co_evolve(config: SimulationConfig, n_xi: int = 256,
               sample_stride: int = 10) -> tuple[SimulationRecord, EnsembleTrace]:
     """Run the PDE and an ensemble side by side: `simulate` at stride =
-    sample_stride with an `EnsembleRider`, plus the rider's trace.
+    sample_stride with a `CoSteppingProvider` as its rider, plus the
+    rider's trace.
 
     The PDE and the ensemble take the same steps, one PDE step per ensemble
     step: `simulate`'s march, each step sized by the flow and the linear
@@ -200,8 +193,8 @@ def co_evolve(config: SimulationConfig, n_xi: int = 256,
                          "be 1")
     if n_xi < 1 or sample_stride < 1:
         raise ValueError("n_xi and sample_stride must be >= 1")
-    rider = EnsembleRider(config, n_xi)
-    record = simulate(replace(config, stride=sample_stride), rider)
+    rider = CoSteppingProvider(config, n_xi)
+    record = evolution.simulate(replace(config, stride=sample_stride), rider)
     return record, rider.trace()
 
 

@@ -261,7 +261,8 @@ def march(grid: PeriodicGrid, coeffs: np.ndarray, dt: float, gamma: float,
     ws, coeffs = climb(coeffs, m)
     # the counts to land on, in order, up to n_steps, the last one reached
     marks = sorted({*stops, n_steps} - {0})
-    turn = 2.0 * np.pi * _TURN / (gamma * dt)   # counts of dt
+    # counts of dt; unbounded where gamma*dt underflows to 0
+    turn = 2.0 * np.pi * _TURN / (gamma * dt) if gamma * dt else np.inf
     count, h = 0, 0.0
     for i in itertools.count():
         every = stride * (grid.n // m)   # counts between two sample marks

@@ -27,9 +27,12 @@ raises `NoConvergence`; the one retry is a branch's step in s, bisected
 when the secant start misses (see `_continue_to`).
 
 A Newton step costs little more than its dense solve and its FFTs: the
-Jacobian is assembled in place from one strided view over the modes, and
-the solver of each grid, which keeps no state between solves, is built on
-demand once (`_solver`) and shared by every solve on that grid.
+Jacobian is assembled in place from one strided view over the modes, a
+trial step computes the Galerkin residual and nothing else, and the solver
+of each grid, which keeps no state between solves, is built on demand once
+(`_solver`) and shared by every solve on that grid.  A solve returns the
+modes alone; how well a wave meets the equation pointwise is its profile's
+`ode_residual`.
 """
 from __future__ import annotations
 
@@ -84,6 +87,8 @@ def corner_wave(gamma: float, n: int = 1024) -> WaveProfile:
     """The crest wave: (gamma/18)(3x^2 - pi^2) at c = pi^2 gamma / 9."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
+    if n < 1:
+        raise ValueError(f"n = {n} holds no grid point; need n >= 1")
     x = _grid(n)
     phi = CORNER_COEFFICIENT * gamma * (3.0 * x * x - math.pi ** 2)
     return WaveProfile(x=x, phi=phi, c=CREST_SPEED_RATIO * gamma, gamma=gamma)
@@ -130,9 +135,11 @@ class _NormalizedSolver:
     Unknowns are the cosine coefficients a_1..a_K of psi (even gauge, zero
     mean), K = n/2 - 1.  Inverse FFTs give psi, psi', psi'' on the grid of
     m = 2n points from -pi (DFT mode p carries (-1)^p), where the quadratic
-    residual is alias-free; one FFT projects it onto cos jx, j = 1..K.  Its
-    mode 0 vanishes ((s - psi) psi'' - psi'^2 = ((s - psi) psi')' and psi has
-    zero mean), so the projected system is square.
+    residual is alias-free; one FFT projects it onto cos jx, j = 1..K, and
+    that Galerkin vector is all `residual` returns.  Its mode 0 vanishes
+    ((s - psi) psi'' - psi'^2 = ((s - psi) psi')' and psi has zero mean),
+    so the projected system is square.  The crest and collapse checks and
+    `profile` read psi alone, so they transform its row alone.
 
     The residual is s psi'' - (psi^2)''/2 + psi, so its derivative along
     cos kx is (1 - s k^2) cos kx + (psi cos kx)'' with the sign flipped.
@@ -157,17 +164,19 @@ class _NormalizedSolver:
         self.synth = n * self.sign * np.array(   # (m/2) (-1)^k (1, ik, -k^2)
             [self.k ** 0, 1j * self.k, -self.k ** 2])
 
-    def _fields(self, a: np.ndarray) -> np.ndarray:
-        """psi, psi', psi'' on the m grid, as the rows of a (3, m) array."""
-        spec = np.zeros((3, len(a) + 1), dtype=complex)   # mode 0 is zero
-        np.multiply(self.synth, a, out=spec[:, 1:])
+    def _fields(self, a: np.ndarray, rows: int = 3) -> np.ndarray:
+        """The first `rows` of psi, psi', psi'' on the m grid, as the rows
+        of a (rows, m) array; psi, row 0, is bitwise the same whatever
+        rows is."""
+        spec = np.zeros((rows, len(a) + 1), dtype=complex)   # mode 0 is zero
+        np.multiply(self.synth[:rows], a, out=spec[:, 1:])
         return np.fft.irfft(spec, 2 * self.n)
 
-    def residual(self, a: np.ndarray, s: float):
+    def residual(self, a: np.ndarray, s: float) -> np.ndarray:
+        """The Galerkin residual: the cos jx coefficients, j = 1..K."""
         psi, dpsi, d2psi = self._fields(a)
         r = (s - psi) * d2psi - dpsi * dpsi + psi
-        proj = np.fft.rfft(r)[1:len(a) + 1].real / self.n   # 2/m = 1/n
-        return self.sign * proj, float(np.max(np.abs(r)))
+        return self.sign * np.fft.rfft(r)[1:len(a) + 1].real / self.n   # 2/m
 
     def jacobian(self, a: np.ndarray, s: float) -> np.ndarray:
         kmax, k2 = len(a), self.k * self.k
@@ -182,22 +191,19 @@ class _NormalizedSolver:
         jac.flat[::kmax + 1] += 1.0 - s * k2
         return jac
 
-    def solve(self, a: np.ndarray, s: float):
-        """Newton iteration from a on the Galerkin system, to a Galerkin
-        residual 2-norm below _NEWTON_TOL within _NEWTON_MAX_ITER steps; no
-        iterate is modified in place.  It gives up early once the residual
-        has stalled, when _STALL_STEPS steps have cut it by less than 1 -
-        _STALL_FACTOR of its value.  The returned pointwise residual also
-        carries the spectral truncation tail (modes above K excited by the
-        quadratic terms), which no step inside the basis can remove, so it
-        is reported rather than iterated on.
+    def solve(self, a: np.ndarray, s: float) -> np.ndarray:
+        """The modes from Newton iteration from a on the Galerkin system,
+        to a Galerkin residual 2-norm below _NEWTON_TOL within
+        _NEWTON_MAX_ITER steps; no iterate is modified in place.  It gives
+        up early once the residual has stalled, when _STALL_STEPS steps
+        have cut it by less than 1 - _STALL_FACTOR of its value.
         """
-        r, point_norm = self.residual(a, s)
+        r = self.residual(a, s)
         norms = []
         for it in range(_NEWTON_MAX_ITER + 1):
             norm0 = math.sqrt(r @ r)
             if norm0 < _NEWTON_TOL:
-                return a, point_norm
+                return a
             if it == _NEWTON_MAX_ITER:
                 raise NoConvergence(
                     f"Newton iteration did not converge at s={s}")
@@ -209,16 +215,16 @@ class _NormalizedSolver:
             step = 1.0
             for _ in range(20):
                 trial = a + step * delta
-                r_trial, pn_trial = self.residual(trial, s)
+                r_trial = self.residual(trial, s)
                 if math.sqrt(r_trial @ r_trial) < norm0:
-                    a, r, point_norm = trial, r_trial, pn_trial
+                    a, r = trial, r_trial
                     break
                 step *= 0.5
             else:
                 raise NoConvergence(f"step halving exhausted at s={s}")
 
     def profile(self, a: np.ndarray, s: float, gamma: float) -> WaveProfile:
-        psi = self._fields(a)[0][::2]          # the n grid: every other point
+        psi = self._fields(a, 1)[0][::2]       # the n grid: every other point
         return WaveProfile(_grid(self.n), gamma * psi, s * gamma, gamma)
 
 
@@ -245,7 +251,7 @@ def _coarse_start(n: int, a: np.ndarray, s: float) -> np.ndarray:
 
     m = resolving_grid(by_wavenumber(a), _BASE, n)
     while m < n:
-        coarse, _ = _solver(m).solve(a[:m // 2 - 1], s)
+        coarse = _solver(m).solve(a[:m // 2 - 1], s)
         a = np.zeros(len(a))
         a[:len(coarse)] = coarse
         if band_tail(by_wavenumber(a), m) <= ROUNDOFF_TAIL:
@@ -268,10 +274,10 @@ def _checked_solve(solver: _NormalizedSolver, a0: np.ndarray,
     overshoots through a = 0 can reach; a_k -> (-1)^k a_k translates it
     back to the gauge with its crest at +-pi.
     """
-    a, _ = solver.solve(_coarse_start(solver.n, a0, s), s)
+    a = solver.solve(_coarse_start(solver.n, a0, s), s)
     if a[0] > 0.0:
         a = solver.sign * a
-    psi = solver._fields(a)[0]
+    psi = solver._fields(a, 1)[0]
     if np.ptp(psi) < _eps(s):           # half of the linear 2 eps
         raise NoConvergence(f"collapsed onto the zero solution at s={s}")
     if psi.max() >= s:

@@ -1,14 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ohlab import waves
 from ohlab.cli import (COMMAND_KEYS, _floats, _settings, build_parser,
@@ -192,6 +196,10 @@ class TestExitCodes:
         (["scan", "--criteria-only", "false", "--dt", "0.01", "--t-max",
           "0.055", "--a-count", "1", "--b-count", "1"],
          "t_max = 0.055 is not a multiple of dt = 0.01"),
+        (["wave", "--corner", "true", "--n", "0"],
+         "n = 0 holds no grid point; need n >= 1"),
+        (["wave", "--corner", "true", "--n", "-4"],
+         "n = -4 holds no grid point; need n >= 1"),
     ], ids=["criteria-gamma0", "criteria-gamma-1", "scan-gamma0",
             "scan-gamma-1", "wave-gamma0", "wave-gamma-1",
             "characteristics-sample-stride0", "characteristics-n-xi0",
@@ -203,7 +211,8 @@ class TestExitCodes:
             "wave-corner-c-over-gamma", "scan-n100", "scan-dt-1",
             "scan-stop-slope5", "wave-n4", "wave-n5", "wave-n7",
             "wave-branch-n9", "simulate-snapshot-off-dt",
-            "simulate-t-max-off-dt", "scan-t-max-off-dt"])
+            "simulate-t-max-off-dt", "scan-t-max-off-dt", "wave-corner-n0",
+            "wave-corner-n-4"])
     def test_out_of_range_value(self, argv, message, tmp_path, capsys):
         # criteria-a-nan failed on an empty search, wave-corner-gamma-nan
         # exited 0 with a nan profile, wave-corner-n6 and -n8 failed in
@@ -213,8 +222,9 @@ class TestExitCodes:
         # point after making out_dir, wave-n4 and -n5 exited 2 as a
         # numerical failure, wave-n7 and -n9 failed in numpy's broadcast,
         # simulate-snapshot-off-dt wrote the t = 0.02 field as
-        # snapshot_t0.015.csv, simulate-t-max-off-dt ran to t = 0.06, and
-        # scan-t-max-off-dt stepped every point past t_max
+        # snapshot_t0.015.csv, simulate-t-max-off-dt ran to t = 0.06,
+        # scan-t-max-off-dt stepped every point past t_max, and
+        # wave-corner-n0 and -n-4 raised ZeroDivisionError in ode_residual
         code, out, err = run_cli(argv + ["--output-dir",
                                          str(tmp_path / "out")], capsys)
         assert code == 1
@@ -622,3 +632,93 @@ class TestScanCommand:
         script = (tmp_path / "plot_region.py").read_text()
         name = re.search(r'genfromtxt\("([^"]+)"', script).group(1)
         assert (tmp_path / name).exists()
+
+
+# Every subcommand, in-process, on inputs drawn over the whole float range:
+# each ends in an exit code, never in an exception.  Runs are kept small: n
+# <= 64, t_max = k dt with k <= 20, scan counts <= 2, n_xi <= 16 and one
+# worker, so that no example starts a process pool.
+_MAGNITUDE = st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e)
+LOG_FLOATS = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+SPEEDS = st.one_of(st.floats(1.0, waves.CREST_SPEED_RATIO), LOG_FLOATS)
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with drawn settings, each an --key=value flag (so that
+    a negative value in e notation reaches the command as a value)."""
+    command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
+    flags = {}
+
+    def maybe(key, strategy):
+        if draw(st.booleans()):
+            flags[key] = draw(strategy)
+
+    def stepping():
+        flags["n"] = draw(st.one_of(st.sampled_from([8, 16, 32, 64]),
+                                    st.integers(-4, 64)))
+        dt = flags["dt"] = draw(LOG_FLOATS)
+        flags["t_max"] = draw(st.integers(1, 20)) * dt
+        maybe("stop_slope", LOG_FLOATS)
+
+    if command in ("simulate", "characteristics", "criteria"):
+        for key in ("gamma", "a", "b"):
+            maybe(key, LOG_FLOATS)
+    if command == "simulate":
+        stepping()
+        maybe("stride", st.integers(-1, 20))
+        maybe("snapshots", st.lists(st.integers(0, 20).map(
+            lambda k: k * flags["dt"]) | LOG_FLOATS, max_size=2))
+    elif command == "characteristics":
+        stepping()
+        flags["n_xi"] = draw(st.integers(-1, 16))
+        maybe("sample_stride", st.integers(-1, 20))
+    elif command == "wave":
+        flags["n"] = draw(st.integers(-8, 64))
+        maybe("gamma", LOG_FLOATS)
+        maybe("c_over_gamma", SPEEDS)
+        maybe("corner", st.booleans())
+        maybe("branch_ratios", st.lists(SPEEDS, max_size=3))
+    elif command == "scan":
+        for key in ("a_min", "a_max", "b_min", "b_max", "gamma"):
+            maybe(key, LOG_FLOATS)
+        flags["a_count"] = draw(st.integers(-1, 2))
+        flags["b_count"] = draw(st.integers(-1, 2))
+        flags["workers"] = 1
+        flags["criteria_only"] = draw(st.booleans())
+        if not flags["criteria_only"]:
+            stepping()
+
+    def text(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, list):
+            return ",".join(map(repr, value))
+        return repr(value)
+
+    return [command, *(f"--{key.replace('_', '-')}={text(value)}"
+                       for key, value in flags.items())]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow at 1e300
+@settings(max_examples=300)
+@given(cli_argv())
+@example(["wave", "--corner=true", "--n=0"])
+@example(["wave", "--corner=true", "--n=-4"])
+@example(["simulate", "--gamma=1e-162", "--n=8", "--dt=1e-162",
+          "--t-max=1e-162"])
+@example(["criteria", "--a=1e102"])
+@example(["criteria", "--a=1e155"])
+@example(["criteria", "--a=1", "--b=1", "--gamma=1e300"])
+@example(["scan", "--a-min=1e200", "--a-max=1e200", "--a-count=1",
+          "--b-count=1", "--criteria-only=true"])
+@example(["scan", "--a-min=1e200", "--a-max=1e200", "--a-count=1",
+          "--b-count=1", "--criteria-only=false", "--n=64", "--dt=0.01",
+          "--t-max=0.2"])
+def test_no_input_ends_in_a_traceback(argv):
+    # 0 success, 1 usage error, 2 numerical failure; the explicit examples
+    # each raised an exception out of dispatch once
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert dispatch(argv + [f"--output-dir={out}"]) in (0, 1, 2)

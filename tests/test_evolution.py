@@ -485,6 +485,16 @@ class TestStepRule:
             grid, np.zeros(513, dtype=complex), 1e-3, 1.0, 100) if i]
         assert lengths == [4e-3] * 25
 
+    def test_turn_bound_where_gamma_dt_underflows(self):
+        # gamma*dt = 1e-324 rounds to 0, and the turn bound 2 pi _TURN /
+        # (gamma*dt) used to divide by it (ZeroDivisionError); there the
+        # linear term turns no mode within a step, only the flow bounds it
+        cfg = SimulationConfig(two_mode_quantities(0.05, 0.0), gamma=1e-162,
+                               n=64, dt=1e-162, t_max=20e-162)
+        record = simulate(cfg)
+        assert record.terminated is Termination.Horizon
+        assert record.steps == 1 and record.times[-1] == 20e-162
+
     def test_zero_data_scan_point(self, monkeypatch):
         # a = b = 0 in a simulated scan steps at dt on its 64 points
         lengths = []
