@@ -166,6 +166,10 @@ class BlowupEstimate:
     window: tuple[float, float]
     residual: float
     n_samples: int
+    # how the window closed: "depth" (the next sample is past the depth
+    # cap), "stop" (the record ended inside it) or "rebound" (the slope
+    # climbed back above the start threshold)
+    window_closed: str
 
     @property
     def t_blowup(self) -> float:
@@ -446,6 +450,12 @@ def estimate_blowup(record: SimulationRecord) -> BlowupEstimate | None:
     while end < len(mask) and record.min_ux[end] <= threshold \
             and record.min_ux[end] >= depth:
         end += 1
+    if end == len(mask):
+        closed = "stop"
+    elif record.min_ux[end] > threshold:
+        closed = "rebound"
+    else:
+        closed = "depth"
     t = record.times[first:end]
     y = -1.0 / record.min_ux[first:end]
     if len(t) < 10:
@@ -457,7 +467,8 @@ def estimate_blowup(record: SimulationRecord) -> BlowupEstimate | None:
     residual = float(np.sqrt(res[0])) if len(res) else 0.0
     return BlowupEstimate(b=float(b), c=float(c),
                           window=(float(t[0]), float(t[-1])),
-                          residual=residual, n_samples=len(t))
+                          residual=residual, n_samples=len(t),
+                          window_closed=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -490,5 +501,6 @@ def run_summary(record: SimulationRecord,
     if est is not None:
         out["blowup"] = {"B": est.b, "C": est.c, "T": est.t_blowup,
                          "residual": est.residual,
-                         "window": list(est.window)}
+                         "window": list(est.window),
+                         "window_closed": est.window_closed}
     return out

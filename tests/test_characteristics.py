@@ -239,7 +239,7 @@ class TestRateProducts:
             mass_drift=zeros, q_drift=zeros, e_drift=zeros,
             terminated=Termination.SlopeBlowup)
         est = BlowupEstimate(b=2.0, c=-1.0, window=(1.6, 1.83),
-                             residual=0.0, n_samples=24)
+                             residual=0.0, n_samples=24, window_closed="stop")
         return rec, est
 
     def test_products_against_exact_blowup_time(self):

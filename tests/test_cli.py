@@ -515,7 +515,7 @@ class TestCharacteristicsCommand:
         assert set(sim["config"]) == set(summary["config"])
         assert summary["config"]["stride"] == 10
         assert set(summary["blowup"]) == {"B", "C", "T", "residual",
-                                          "window"}
+                                          "window", "window_closed"}
 
 
 class TestWaveCommand:

@@ -725,6 +725,30 @@ class TestEstimator:
         est = estimate_blowup(rec)
         assert est.n_samples >= 10
 
+    def test_window_closed_at_the_depth_cap(self, case1_est):
+        assert case1_est.window_closed == "depth"
+
+    def test_window_closed_by_the_record_end(self):
+        # the 1024 grid loses this front at min u_x ~ -3.78, short of the
+        # depth cap of -6, so the record ends inside the window
+        rec = simulate(SimulationConfig(two_mode_quantities(0.005, 0.005),
+                                        n=1024, dt=1e-3, t_max=25.0))
+        assert rec.stop == "front_unresolved"
+        assert rec.min_ux[-1] == pytest.approx(-3.78, abs=0.01)
+        est = estimate_blowup(rec)
+        assert est.window_closed == "stop"
+        assert est.window[1] == rec.times[-1]
+        assert run_summary(rec, est)["blowup"]["window_closed"] == "stop"
+
+    def test_window_closed_by_a_rebound(self):
+        # the slope passes the start threshold of -2.5 at t = 1.6, then
+        # climbs back above it past t = 1.75
+        rec = self.synthetic_record()
+        rec.min_ux = np.where(rec.times > 1.755, -1.0, rec.min_ux)
+        est = estimate_blowup(rec)
+        assert est.window_closed == "rebound"
+        assert est.window[1] == pytest.approx(1.75)
+
 
 class TestEmission:
     def test_timeseries_roundtrip(self, tmp_path, case1_smoke_run):

@@ -6,6 +6,10 @@ solver or an emitter brings back, and the last a bespoke class for what is
 a plain ValueError, so they are checked here with the standard library's
 `ast` rather than an external linter."""
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,58 @@ def test_every_export_resolves():
     assert len(set(ohlab.__all__)) == len(ohlab.__all__)
     missing = [name for name in ohlab.__all__ if not hasattr(ohlab, name)]
     assert missing == []
+
+
+def loaded_by(statement):
+    """The ohlab modules that `statement` leaves in sys.modules of a fresh
+    interpreter, whatever this session has imported already."""
+    probe = (f"import sys\n{statement}\n"
+             "print(' '.join(sorted(m for m in sys.modules\n"
+             "                      if m.split('.')[0] == 'ohlab')))\n")
+    src = str(Path(ohlab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_import_footprint():
+    # a submodule loads when a workflow first reads one of its names
+    assert loaded_by("import ohlab") == {"ohlab"}
+    assert loaded_by("import ohlab.waves") == {
+        "ohlab", "ohlab.errors", "ohlab.fourier", "ohlab.tables",
+        "ohlab.waves"}
+    for module in ("evolution", "characteristics"):
+        modules = loaded_by(f"import ohlab.{module}")
+        assert f"ohlab.{module}" in modules
+        assert "ohlab.criteria" not in modules
+
+
+def test_exports_are_their_home_modules_objects():
+    for name in ohlab.__all__:
+        value = getattr(ohlab, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("ohlab.")
+        assert vars(home)[name] is value
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ohlab.no_such_name
+    assert not hasattr(ohlab, "no_such_name")
+
+
+def test_dir_lists_the_exports():
+    assert set(ohlab.__all__) <= set(dir(ohlab))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from ohlab import *", namespace)
+    assert set(ohlab.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(ohlab, name)
+               for name in ohlab.__all__)
 
 
 # exports that no workflow of the package calls, and why each stays
