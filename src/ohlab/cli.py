@@ -232,18 +232,18 @@ def _cmd_scan(cfg) -> dict:
         a_range=(cfg["a_min"], cfg["a_max"], cfg["a_count"]),
         b_range=(cfg["b_min"], cfg["b_max"], cfg["b_count"]),
         **{key: cfg[key] for key in _SCAN})
-    result = scan_mod.scan(sconf)
+    rows = scan_mod.scan(sconf)
     out = _outdir(cfg)
     if cfg["criteria_only"]:
         csv = "region.csv"
-        scan_mod.write_region_csv(result, out / csv)
+        scan_mod.write_region_csv(rows, out / csv)
     else:
         csv = "region_sim.csv"
-        scan_mod.write_simulation_csv(result, out / csv)
+        scan_mod.write_simulation_csv(rows, out / csv)
     _write_plot(out, "region", csv, _REGION_PLOT)
-    violations = scan_mod.region_ordering_violations(result)
-    return {"points": len(result.rows),
-            "charac_satisfied": sum(r["charac"] for r in result.rows),
+    violations = scan_mod.region_ordering_violations(rows)
+    return {"points": len(rows),
+            "charac_satisfied": sum(r["charac"] for r in rows),
             "ordering_violations": len(violations)}
 
 

@@ -32,12 +32,6 @@ import numpy as np
 from .fourier import PeriodicField, PeriodicGrid, field_diagnostics
 from .initial import InitialData
 
-__all__ = [
-    "CriterionReport", "hunter_criterion", "cubic_criterion_one",
-    "cubic_criterion_two", "characteristics_criterion", "find_t1",
-    "LineData", "line_criterion", "all_reports",
-]
-
 
 @dataclass(frozen=True)
 class CriterionReport:

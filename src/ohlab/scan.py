@@ -1,20 +1,23 @@
 """Parameter-plane sweeps over the two-mode family (a, b).
 
-Each grid point is evaluated by a pure function of plain scalars, mapped in a
-fixed order (b-major, then a) over an optional worker pool; assembly is
-single-writer.  Output is therefore bitwise identical for any worker count.
+One function, `_point`, evaluates a grid point: it builds the two-mode datum
+once, takes its criteria verdicts and, unless the scan is criteria-only,
+runs the breaking simulation on it.  `scan` maps it in a fixed order
+(b-major, then a) over an optional worker pool and returns the rows, one
+plain dict per point; assembly is single-writer, so output is bitwise
+identical for any worker count.  The solver, `ohlab.evolution`, is imported
+only by a simulated scan.
 """
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import criteria as crit
-from .evolution import (SimulationConfig, check_stepping, estimate_blowup,
-                        simulate)
 from .initial import two_mode_quantities
 from .tables import write_csv
 
@@ -47,6 +50,8 @@ class ScanConfig:
             raise ValueError(f"{', '.join(stepping)} only apply when "
                              "criteria_only is false")
         if not self.criteria_only:
+            from .evolution import check_stepping
+
             # every point steps with these settings: check them once, here
             check_stepping(self.gamma, self.n, self.dt, self.t_max,
                            self.stop_slope)
@@ -59,86 +64,64 @@ class ScanConfig:
         return [(a, b) for b in axis(self.b_range) for a in axis(self.a_range)]
 
 
-@dataclass
-class ScanResult:
-    config: ScanConfig
-    rows: list = field(default_factory=list)   # dicts, one per grid point
-
-
-def _criteria_row(d, gamma: float) -> dict:
-    """The verdict row of one two-mode datum d."""
-    reports = crit.all_reports(d, gamma)
-    return {
-        "a": d.params["a"], "b": d.params["b"],
-        "hunter": reports["hunter"].satisfied,
-        "cond1": reports["cond1"].satisfied,
-        "cond2": reports["cond2"].satisfied,
-        "charac": reports["charac"].satisfied,
-        "margin_charac": reports["charac"].margin,
-    }
-
-
-def _criteria_point(args) -> dict:
-    a, b, gamma = args
-    return _criteria_row(two_mode_quantities(a, b), gamma)
-
-
-def _simulation_point(args) -> dict:
-    a, b, gamma, n, dt, t_max, stop_slope = args
-    d = two_mode_quantities(a, b)
-    row = _criteria_row(d, gamma)
-    config = SimulationConfig(initial=d, gamma=gamma, n=n, dt=dt,
-                              t_max=t_max, stop_slope=stop_slope)
-    record = simulate(config)
-    est = estimate_blowup(record)
-    row["terminated"] = record.terminated.value
-    row["T_est"] = math.nan if est is None else est.t_blowup
-    row["C_est"] = math.nan if est is None else est.c
-    return row
-
-
-def scan(config: ScanConfig) -> ScanResult:
-    points = config.points()
+def _point(config: ScanConfig, ab: tuple[float, float]) -> dict:
+    """The row of grid point ab = (a, b): its verdicts and, in a simulated
+    scan, how its run ended and its blow-up estimate."""
+    d = two_mode_quantities(*ab)
+    reports = crit.all_reports(d, config.gamma)
+    row = {"a": d.params["a"], "b": d.params["b"],
+           "hunter": reports["hunter"].satisfied,
+           "cond1": reports["cond1"].satisfied,
+           "cond2": reports["cond2"].satisfied,
+           "charac": reports["charac"].satisfied,
+           "margin_charac": reports["charac"].margin}
     if config.criteria_only:
-        fn = _criteria_point
-        args = [(a, b, config.gamma) for a, b in points]
-    else:
-        fn = _simulation_point
-        args = [(a, b, config.gamma, config.n, config.dt, config.t_max,
-                 config.stop_slope) for a, b in points]
+        return row
+    from .evolution import SimulationConfig, estimate_blowup, simulate
+
+    record = simulate(SimulationConfig(
+        initial=d, gamma=config.gamma, n=config.n, dt=config.dt,
+        t_max=config.t_max, stop_slope=config.stop_slope))
+    est = estimate_blowup(record)
+    return {**row, "terminated": record.terminated.value,
+            "T_est": math.nan if est is None else est.t_blowup,
+            "C_est": math.nan if est is None else est.c}
+
+
+def scan(config: ScanConfig) -> list:
+    """The rows of every grid point, in the order of `config.points()`."""
+    point = functools.partial(_point, config)
     if config.workers == 1:
-        rows = [fn(arg) for arg in args]
-    else:
-        with multiprocessing.Pool(config.workers) as pool:
-            rows = pool.map(fn, args, chunksize=1)
-    return ScanResult(config=config, rows=rows)
+        return list(map(point, config.points()))
+    with multiprocessing.Pool(config.workers) as pool:
+        return pool.map(point, config.points(), chunksize=1)
 
 
-def _columns(result: ScanResult, names: str) -> list:
-    return [[r[k] for r in result.rows] for k in names.split(",")]
+def _columns(rows: list, names: str) -> list:
+    return [[r[k] for r in rows] for k in names.split(",")]
 
 
-def write_region_csv(result: ScanResult, path):
+def write_region_csv(rows: list, path):
     """Criteria verdict map: a,b,hunter,cond1,cond2,charac,margin_charac."""
     header = "a,b,hunter,cond1,cond2,charac,margin_charac"
-    write_csv(path, header, _columns(result, header),
+    write_csv(path, header, _columns(rows, header),
               "%.17g,%.17g,%d,%d,%d,%d,%.17g")
 
 
-def write_simulation_csv(result: ScanResult, path):
+def write_simulation_csv(rows: list, path):
     """Verdicts plus per-point blow-up estimates:
     a,b,hunter,cond1,cond2,charac,T_est,C_est,terminated."""
     header = "a,b,hunter,cond1,cond2,charac,T_est,C_est,terminated"
-    write_csv(path, header, _columns(result, header),
+    write_csv(path, header, _columns(rows, header),
               "%.17g,%.17g,%d,%d,%d,%d,%.17g,%.17g,%s")
 
 
-def region_ordering_violations(result: ScanResult) -> list:
+def region_ordering_violations(rows: list) -> list:
     """Points violating the expected inclusion ordering: every point breaking
     by the gamma=1 slope-size test or the strong cube test must also break by
     the characteristics test."""
     bad = []
-    for r in result.rows:
+    for r in rows:
         if (r["hunter"] or r["cond1"]) and not r["charac"]:
             bad.append((r["a"], r["b"]))
     return bad

@@ -504,7 +504,7 @@ class TestStepRule:
                             or rk4_step(ws, c, h, *args))
         cfg = ScanConfig(a_range=(0.0, 0.0, 1), b_range=(0.0, 0.0, 1),
                          criteria_only=False, n=64, dt=0.01, t_max=0.5)
-        (row,) = scan(cfg).rows
+        (row,) = scan(cfg)
         assert row["terminated"] == "Horizon"
         assert lengths == [0.01] * 50
 

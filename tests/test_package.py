@@ -49,6 +49,20 @@ def test_import_footprint():
         modules = loaded_by(f"import ohlab.{module}")
         assert f"ohlab.{module}" in modules
         assert "ohlab.criteria" not in modules
+    # scan imports the solver only for a simulated scan
+    assert loaded_by("import ohlab.scan") == {
+        "ohlab", "ohlab.criteria", "ohlab.fourier", "ohlab.initial",
+        "ohlab.scan", "ohlab.tables"}
+
+
+def test_only_the_package_lists_exports():
+    # ohlab._HOMES is the one table of exports; a module's own __all__
+    # would be a second copy of its row
+    assigning = [p.name for p in SOURCES
+                 if any(isinstance(node, ast.Name) and node.id == "__all__"
+                        and isinstance(node.ctx, ast.Store)
+                        for node in ast.walk(ast.parse(p.read_text())))]
+    assert assigning == ["__init__.py"]
 
 
 def test_exports_are_their_home_modules_objects():
